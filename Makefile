@@ -5,7 +5,7 @@ GO ?= go
 
 .PHONY: all build test test-short test-race smoke serve smoke-serve \
         smoke-cluster smoke-store smoke-recovery bench-cluster chaos \
-        vet fmt bench bench-kernel bench-alloc bench-warm test-alloc figures \
+        vet fmt bench bench-kernel bench-alloc test-alloc figures \
         figures-quick examples fuzz fuzz-smoke verify clean
 
 all: vet test build
@@ -96,13 +96,6 @@ bench-kernel:
 # path regressed from 0 allocs/op.
 bench-alloc:
 	scripts/bench_alloc.sh
-
-# Mixed-shape warm baseline: BenchmarkWarmMixed (single-entry vs
-# shape-keyed LRU machine cache on an alternating-shape schedule) plus a
-# live pacd smoke whose machine-cache hits must exceed misses, distilled
-# into BENCH_warm.json. Fails below the 1.30x warm-speedup floor.
-bench-warm:
-	scripts/bench_warm.sh
 
 # The steady-state zero-alloc unit gates plus the arena aliasing
 # oracles. Must run WITHOUT -race: race instrumentation allocates, so

@@ -64,8 +64,6 @@ func main() {
 		concurrency  = flag.Int("concurrency", runtime.GOMAXPROCS(0), "jobs executing at once")
 		queue        = flag.Int("queue", 16, "bounded job queue depth (full queue answers 429)")
 		maxSessions  = flag.Int("max-sessions", 8, "LRU cap on distinct-option result-cache sessions")
-		affinity     = flag.Int("affinity-window", 0, "job reorder window for shape-affinity batching (0 = default 8, negative disables)")
-		machCache    = flag.Int("machine-cache", 0, "parked machines per scratch arena, LRU-evicted beyond it (0 = default)")
 		reqTimeout   = flag.Duration("request-timeout", 60*time.Second, "cap on synchronous ?wait= windows")
 		jobTimeout   = flag.Duration("job-timeout", 15*time.Minute, "abort jobs running longer than this")
 		jobDeadline  = flag.Duration("job-deadline", 0, "per-attempt watchdog deadline; overrides -job-timeout when set")
@@ -175,8 +173,6 @@ func main() {
 		Concurrency:     *concurrency,
 		QueueDepth:      *queue,
 		MaxSessions:     *maxSessions,
-		AffinityWindow:  *affinity,
-		MachineCache:    *machCache,
 		RequestTimeout:  *reqTimeout,
 		JobTimeout:      *jobTimeout,
 		MaxRetries:      *maxRetries,

@@ -7,13 +7,11 @@ import (
 	"github.com/pacsim/pac/internal/sim"
 )
 
-// ScratchPool is a shape-aware pool of sim.Scratch arenas. Unlike the
-// sync.Pool it replaced, it can be shared across sessions — parked
-// machines then survive session LRU eviction, which is what keeps a
-// mixed-tenant pacd warm — and Get prefers an arena whose machine cache
-// already holds the caller's shape, so a worker picking up a job lands
-// on buffers (and a parked machine) warm for exactly that
-// configuration.
+// ScratchPool is a pool of sim.Scratch arenas. Unlike a sync.Pool, it
+// can be shared across sessions — recycled buffers and parked machines
+// then survive session LRU eviction — and it never drops arenas to a GC
+// cycle. Get hands out the most recently returned arena, whose buffers
+// are the warmest.
 //
 // Each Scratch is owned by exactly one running simulation at a time;
 // the pool only hands out idle arenas. Scratches never affect results.
@@ -24,51 +22,30 @@ type ScratchPool struct {
 	// dropped to the GC (never silently — the bound is by construction,
 	// sized to the maximum useful concurrency).
 	max int
-	// machCap, when positive, is applied to each new arena's parked-
-	// machine LRU via SetMachineCacheCap.
-	machCap int
 }
 
 // NewScratchPool builds a pool retaining at most max idle arenas
 // (0 means twice GOMAXPROCS — enough for every worker plus hand-off
-// slack) whose machine caches hold up to machineCacheCap parked
-// machines each (0 means sim.DefaultMachineCacheCap).
-func NewScratchPool(max, machineCacheCap int) *ScratchPool {
+// slack).
+func NewScratchPool(max int) *ScratchPool {
 	if max <= 0 {
 		max = 2 * runtime.GOMAXPROCS(0)
 	}
-	return &ScratchPool{max: max, machCap: machineCacheCap}
+	return &ScratchPool{max: max}
 }
 
-// Get hands out an idle arena, preferring one already warm for the
-// given machine shape (sim.ShapeKey); an empty shape — or no warm
-// match — falls back to the most recently returned arena, and an empty
-// pool builds fresh. The caller owns the arena until Put.
-func (p *ScratchPool) Get(shape string) *sim.Scratch {
+// Get hands out the most recently returned idle arena, or a fresh one
+// when the pool is empty. The caller owns the arena until Put.
+func (p *ScratchPool) Get() *sim.Scratch {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if shape != "" {
-		// Most recently returned arenas live at the tail; scan from
-		// there so ties break toward the warmest buffers.
-		for i := len(p.free) - 1; i >= 0; i-- {
-			if p.free[i].HasShape(shape) {
-				sc := p.free[i]
-				p.free = append(p.free[:i], p.free[i+1:]...)
-				return sc
-			}
-		}
-	}
 	if n := len(p.free); n > 0 {
 		sc := p.free[n-1]
 		p.free[n-1] = nil
 		p.free = p.free[:n-1]
 		return sc
 	}
-	sc := sim.NewScratch()
-	if p.machCap > 0 {
-		sc.SetMachineCacheCap(p.machCap)
-	}
-	return sc
+	return sim.NewScratch()
 }
 
 // Put returns an idle arena to the pool; arenas beyond the retention

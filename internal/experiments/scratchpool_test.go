@@ -3,90 +3,13 @@ package experiments
 import (
 	"testing"
 
-	"github.com/pacsim/pac/internal/coalesce"
 	"github.com/pacsim/pac/internal/sim"
 )
-
-// poolConfig is a small simulation whose trace length doubles as its
-// shape discriminator.
-func poolConfig(accesses int) sim.Config {
-	cfg := sim.DefaultConfig("GS", coalesce.ModePAC)
-	cfg.Procs = []sim.ProcSpec{{Benchmark: "GS", Cores: 2}}
-	cfg.Scale = 0.02
-	cfg.AccessesPerCore = accesses
-	return cfg
-}
-
-// warmScratch runs one simulation on a fresh Scratch so a machine of
-// cfg's shape ends up parked in it.
-func warmScratch(t *testing.T, cfg sim.Config) *sim.Scratch {
-	t.Helper()
-	sc := sim.NewScratch()
-	cfg.Scratch = sc
-	r, err := sim.NewRunner(cfg)
-	if err != nil {
-		t.Fatalf("NewRunner: %v", err)
-	}
-	if _, err := r.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if sc.MachineCacheLen() != 1 {
-		t.Fatalf("warm run parked %d machines, want 1", sc.MachineCacheLen())
-	}
-	return sc
-}
-
-// TestScratchPoolShapeAffinity is the routing contract: Get(shape)
-// returns an idle arena already holding a machine of that shape when one
-// exists, and only falls back to most-recently-returned otherwise.
-func TestScratchPoolShapeAffinity(t *testing.T) {
-	cfgA, cfgB := poolConfig(600), poolConfig(800)
-	keyA, keyB := sim.ShapeKey(cfgA), sim.ShapeKey(cfgB)
-	if keyA == "" || keyB == "" || keyA == keyB {
-		t.Fatalf("bad shape keys: %q vs %q", keyA, keyB)
-	}
-
-	scA := warmScratch(t, cfgA)
-	scB := warmScratch(t, cfgB)
-
-	p := NewScratchPool(4, 0)
-	p.Put(scA)
-	p.Put(scB)
-
-	// Shape routing beats recency: A's arena is older in the pool but
-	// matches the requested shape.
-	if got := p.Get(keyA); got != scA {
-		t.Fatal("Get(keyA) did not return the arena warm for shape A")
-	}
-	p.Put(scA)
-	if got := p.Get(keyB); got != scB {
-		t.Fatal("Get(keyB) did not return the arena warm for shape B")
-	}
-	p.Put(scB)
-
-	// No warm match: most recently returned wins (scB), regardless of
-	// the requested shape.
-	if got := p.Get("no-such-shape"); got != scB {
-		t.Fatal("Get with unknown shape did not return the most recently returned arena")
-	}
-	// Empty shape skips the scan entirely.
-	if got := p.Get(""); got != scA {
-		t.Fatal("Get(\"\") did not return the remaining arena")
-	}
-	if p.Idle() != 0 {
-		t.Fatalf("pool reports %d idle arenas, want 0", p.Idle())
-	}
-
-	// Empty pool builds fresh.
-	if got := p.Get(keyA); got == nil || got == scA || got == scB {
-		t.Fatal("empty pool did not build a fresh arena")
-	}
-}
 
 // TestScratchPoolRetentionBound proves Put drops arenas beyond max
 // instead of growing without bound.
 func TestScratchPoolRetentionBound(t *testing.T) {
-	p := NewScratchPool(2, 0)
+	p := NewScratchPool(2)
 	for i := 0; i < 5; i++ {
 		p.Put(sim.NewScratch())
 	}
@@ -96,30 +19,5 @@ func TestScratchPoolRetentionBound(t *testing.T) {
 	p.Put(nil) // ignored
 	if got := p.Idle(); got != 2 {
 		t.Fatalf("idle after Put(nil) = %d, want 2", got)
-	}
-}
-
-// TestScratchPoolMachineCapApplied proves fresh arenas inherit the
-// pool's machine-cache cap: with cap 1, two shapes round-robin through
-// one arena must keep evicting rather than accumulate.
-func TestScratchPoolMachineCapApplied(t *testing.T) {
-	p := NewScratchPool(1, 1)
-	sc := p.Get("")
-	for _, accesses := range []int{600, 800} {
-		cfg := poolConfig(accesses)
-		cfg.Scratch = sc
-		r, err := sim.NewRunner(cfg)
-		if err != nil {
-			t.Fatalf("NewRunner: %v", err)
-		}
-		if _, err := r.Run(); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-	}
-	if got := sc.MachineCacheLen(); got != 1 {
-		t.Fatalf("parked machines = %d, want 1 (pool cap applied)", got)
-	}
-	if _, _, evictions := sc.MachineCacheStats(); evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", evictions)
 	}
 }

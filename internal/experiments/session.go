@@ -118,12 +118,11 @@ type Session struct {
 	// Progress and Hooks it is latched on first use.
 	Checkpoints *CheckpointPolicy
 
-	// Scratches, when set, is a shared shape-aware arena pool — one pool
-	// across every session of a pacd, so parked machines survive session
-	// eviction and a worker preferentially draws an arena warm for its
-	// job's shape. Like Progress and Hooks it is latched on first use;
+	// Scratches, when set, is a shared arena pool — one pool across
+	// every session of a pacd, so recycled buffers survive session
+	// eviction. Like Progress and Hooks it is latched on first use;
 	// unset, the session uses a private pool (same reuse within the
-	// session, no cross-session warmth).
+	// session).
 	Scratches *ScratchPool
 }
 
@@ -151,7 +150,7 @@ func (s *Session) latchLocked() {
 		s.ckpt = s.Checkpoints
 		s.scratch = s.Scratches
 		if s.scratch == nil {
-			s.scratch = NewScratchPool(0, 0)
+			s.scratch = NewScratchPool(0)
 		}
 	}
 }
@@ -323,7 +322,7 @@ func (s *Session) evictSim(k simKey, e *memoEntry[*sim.Result]) {
 func (s *Session) runSim(ctx context.Context, k simKey) (*sim.Result, error) {
 	cfg := s.simConfig(k.bench, k.mode, k.v)
 	cfg.Hooks = s.hooks
-	cfg.Scratch = s.getScratch(sim.ShapeKey(cfg))
+	cfg.Scratch = s.scratch.Get()
 	runner, err := s.newRunner(cfg, k)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s: %w", k, err)
@@ -455,7 +454,7 @@ func (s *Session) runTrace(ctx context.Context, bench string) ([]mem.Request, er
 	cfg := s.simConfig(bench, coalesce.ModePAC, varDefault)
 	cfg.TraceSink = func(r mem.Request) { reqs = append(reqs, r) }
 	cfg.Hooks = s.hooks
-	cfg.Scratch = s.getScratch(sim.ShapeKey(cfg))
+	cfg.Scratch = s.scratch.Get()
 	runner, err := sim.NewRunner(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: trace %s: %w", bench, err)
@@ -467,21 +466,6 @@ func (s *Session) runTrace(ctx context.Context, bench string) ([]mem.Request, er
 	}
 	s.noteDone(fmt.Sprintf("traced %-10s requests=%d", bench, len(reqs)))
 	return reqs, nil
-}
-
-// getScratch draws a recycled simulation arena from the session's
-// (possibly shared) pool, preferring one already warm for the run's
-// machine shape.
-func (s *Session) getScratch(shape string) *sim.Scratch {
-	return s.scratch.Get(shape)
-}
-
-// Shape returns the canonical machine-shape key of this session's
-// default-variant (benchmark, mode) simulation — the key the serving
-// layer tags jobs with for affinity batching and pprof labels. Empty
-// when that configuration cannot park a machine (fault injection).
-func (s *Session) Shape(bench string, mode coalesce.Mode) string {
-	return sim.ShapeKey(s.simConfig(bench, mode, varDefault))
 }
 
 // simConfig builds the simulator configuration for one run.

@@ -5,12 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 
 	"github.com/pacsim/pac/internal/report"
 	"github.com/pacsim/pac/internal/server"
+	"github.com/pacsim/pac/internal/sim"
 	"github.com/pacsim/pac/internal/workload"
 )
 
@@ -114,20 +114,13 @@ func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	g.reg.Counter("pac_gw_sweeps_total", "Sweep fan-outs started.").Inc()
 
-	// Fan out: every pair dispatches by its own key, so the cells land
-	// on (and warm) their canonical shards — but the dispatch ORDER is
-	// grouped per shard, so each backend sees its cells back-to-back.
-	// Consecutive arrival is what lets the backend's affinity batcher
-	// and machine cache run the shard's cells warm instead of thrashing
-	// between interleaved shapes. Results still slot into place by
-	// original index; completion order never matters, so the merged
-	// table stays byte-identical to the unordered fan-out.
+	// Fan out in request order: every pair dispatches by its own key, so
+	// the cells land on (and warm) their canonical shards, and the
+	// interleaved keys keep every shard busy from the first cell on.
+	// Results slot into place by index; completion order never matters,
+	// so the merged table is byte-identical to a single-node run.
 	rows := make([]sweepRow, len(pairs))
 	errs := make([]error, len(pairs))
-	order := sweepDispatchOrder(pairs, func(key string) string {
-		node, _ := g.ring.Owner(key)
-		return node
-	})
 	workers := g.cfg.SweepConcurrency
 	if workers > len(pairs) {
 		workers = len(pairs)
@@ -146,7 +139,7 @@ func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 			}
 		}()
 	}
-	for _, i := range order {
+	for i := range pairs {
 		feed <- i
 	}
 	close(feed)
@@ -164,12 +157,9 @@ func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 	routes := make([]SweepRoute, len(rows))
 	for i, row := range rows {
 		p := pairs[i]
-		eff := 0.0
-		if row.RawRequests > 0 {
-			eff = 100 * float64(row.RawRequests-(row.MemPackets-row.Reissues)) /
-				float64(row.RawRequests)
-		}
-		table.AddRow(p.bench, p.mode, row.Cycles, row.RawRequests, row.MemPackets, eff)
+		res := &row.res
+		table.AddRow(p.bench, p.mode, res.Cycles, res.RawRequests, res.MemPackets,
+			res.CoalescingEfficiency())
 		routes[i] = SweepRoute{
 			Benchmark: p.bench, Mode: p.mode, Key: p.key,
 			Backend: row.backend, Cached: row.cached, Attempts: row.attempts,
@@ -181,31 +171,6 @@ func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, SweepResponse{Table: table, Text: text.String(), Routes: routes})
-}
-
-// sweepDispatchOrder returns a permutation of pair indices grouped by
-// owning shard, then by routing key within the shard, with the original
-// request order breaking ties. Feeding the fan-out in this order makes
-// same-shard (and, within a shard, same-shape) cells dispatch
-// consecutively, so each backend's scratch pool and machine cache stay
-// warm for one configuration at a time instead of alternating. The
-// permutation only reorders dispatch — result rows are still slotted by
-// original index, so the merged table is unaffected.
-func sweepDispatchOrder(pairs []sweepPair, owner func(key string) string) []int {
-	order := make([]int, len(pairs))
-	owners := make([]string, len(pairs))
-	for i, p := range pairs {
-		order[i] = i
-		owners[i] = owner(p.key)
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ia, ib := order[a], order[b]
-		if owners[ia] != owners[ib] {
-			return owners[ia] < owners[ib]
-		}
-		return pairs[ia].key < pairs[ib].key
-	})
-	return order
 }
 
 // sweepPairs expands and validates the request into its ordered cells.
@@ -243,13 +208,9 @@ func (g *Gateway) sweepPairs(req SweepRequest) ([]sweepPair, error) {
 	return pairs, nil
 }
 
-// sweepRow is the per-cell extract of one simulation result: exactly the
-// fields the merged table derives its cells from.
+// sweepRow is one cell's simulation result plus where it ran.
 type sweepRow struct {
-	Cycles      int64
-	RawRequests int64
-	MemPackets  int64
-	Reissues    int64
+	res sim.Result
 
 	backend  string
 	cached   bool
@@ -335,27 +296,14 @@ func decodeJobView(resp *http.Response) (gwJobView, error) {
 	return view, nil
 }
 
-// decodeSweepRow extracts the table fields from a terminal simulate
-// job's result payload.
+// decodeSweepRow decodes a terminal simulate job's result payload.
 func decodeSweepRow(raw json.RawMessage, backendName string) (sweepRow, error) {
 	var payload struct {
-		Cached bool `json:"cached"`
-		Result struct {
-			Cycles      int64
-			RawRequests int64
-			MemPackets  int64
-			MSHR        struct{ Reissues int64 }
-		} `json:"result"`
+		Cached bool       `json:"cached"`
+		Result sim.Result `json:"result"`
 	}
 	if err := json.Unmarshal(raw, &payload); err != nil {
 		return sweepRow{}, fmt.Errorf("decoding result: %w", err)
 	}
-	return sweepRow{
-		Cycles:      payload.Result.Cycles,
-		RawRequests: payload.Result.RawRequests,
-		MemPackets:  payload.Result.MemPackets,
-		Reissues:    payload.Result.MSHR.Reissues,
-		backend:     backendName,
-		cached:      payload.Cached,
-	}, nil
+	return sweepRow{res: payload.Result, backend: backendName, cached: payload.Cached}, nil
 }

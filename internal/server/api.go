@@ -43,10 +43,8 @@ type sessionPool struct {
 	// policy each new session is created with (keyed by the session's
 	// canonical options hash); nil keeps sessions checkpoint-free.
 	ckptPolicy func(optsKey string) *experiments.CheckpointPolicy
-	// scratches is the daemon-wide shape-aware arena pool every session
-	// shares: parked machines survive session LRU eviction, so a hot
-	// shape stays warm even as its session churns in and out of the
-	// pool.
+	// scratches is the daemon-wide arena pool every session shares, so
+	// recycled buffers survive session LRU eviction.
 	scratches *experiments.ScratchPool
 	entries   map[string]*poolEntry
 }
@@ -294,8 +292,8 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 // the canonical WAL payload (the request's JSON encoding — resolution
 // against the base options is deterministic, so replaying the payload
 // after a crash reproduces the original job exactly) and the job's
-// scheduling meta (machine-shape affinity key, bench/mode pprof
-// labels). The HTTP handler and the boot replay share this one path.
+// pprof meta (bench/mode labels). The HTTP handler and the boot replay
+// share this one path.
 func (s *Server) buildSimulateRun(req SimulateRequest, peers []string) (func(ctx context.Context) (any, error), []byte, jobMeta, error) {
 	opts, bench, mode, err := s.validate(req)
 	if err != nil {
@@ -307,10 +305,7 @@ func (s *Server) buildSimulateRun(req SimulateRequest, peers []string) (func(ctx
 	}
 	sess, optsKey := s.pool.session(opts)
 	hash := configHash(optsKey, bench, mode)
-	// Affinity is the machine-shape key, not the SimKey: two requests
-	// with different options can still share a shape, and fault-plan
-	// requests (shape "") opt out — they bypass the machine cache anyway.
-	meta := jobMeta{affinity: sess.Shape(bench, mode), bench: bench, mode: mode.String()}
+	meta := jobMeta{bench: bench, mode: mode.String()}
 	run := func(ctx context.Context) (any, error) {
 		// Resolve the cache source cheapest-first: session memo, local
 		// durable store, fleet peers, then a fresh simulation. Disk and
@@ -410,7 +405,7 @@ func (s *Server) handleRunExperiment(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	// Experiments span many shapes, so they carry no affinity key.
+	// Experiments span many configurations, so they carry no labels.
 	job, err := s.jobs.submit("experiment", payload, jobMeta{}, run)
 	if !s.submitted(w, job, err) {
 		return

@@ -43,14 +43,12 @@ var errDraining = errors.New("server: draining, not accepting jobs")
 // dropped from the front (SSE subscribers still see every line live).
 const maxProgressLines = 256
 
-// jobMeta carries a job's scheduling and profiling attributes. affinity
-// is the machine-shape key the dispatcher groups ready jobs by (empty
-// opts the job out of affinity batching — experiments span many shapes);
-// bench and mode feed the pprof labels on the executing goroutine.
+// jobMeta carries a job's profiling attributes: bench and mode feed the
+// pprof labels on the executing goroutine (empty for experiments, which
+// span many configurations).
 type jobMeta struct {
-	affinity string
-	bench    string
-	mode     string
+	bench string
+	mode  string
 }
 
 // Job is one queued unit of work: a simulation or an experiment run.
@@ -60,15 +58,8 @@ type Job struct {
 	// node is the owning daemon's NodeID ("" outside a fleet); surfaced
 	// in job views so gateway-merged listings attribute jobs to shards.
 	node string
-	// meta tags the job for affinity batching and pprof attribution;
-	// immutable after submit.
+	// meta tags the job for pprof attribution; immutable after submit.
 	meta jobMeta
-	// passedOver counts how many times the dispatcher skipped this job
-	// in favour of an affinity match behind it; at the window bound the
-	// job is served unconditionally (strict FIFO fallback — batching may
-	// reorder within the window but never starves). Guarded by the
-	// manager's dispatchMu.
-	passedOver int
 
 	run func(ctx context.Context) (any, error)
 
@@ -310,19 +301,6 @@ type jobManager struct {
 	resubMu sync.RWMutex
 	wg      sync.WaitGroup
 
-	// Affinity batching: workers pull through a small reorder buffer
-	// (pending, at most affinityWindow jobs drawn off the queue without
-	// blocking) and prefer the oldest job whose affinity key matches
-	// their previous one, so same-shape jobs run consecutively on a
-	// worker and hit its warm machine cache. affinityWindow <= 0
-	// disables the buffer entirely (plain channel FIFO). wake lets a
-	// worker that leaves jobs in the buffer rouse a peer blocked on the
-	// empty channel.
-	affinityWindow int
-	dispatchMu     sync.Mutex
-	pending        []*Job
-	wake           chan struct{}
-
 	mu        sync.Mutex
 	jobs      map[string]*Job
 	order     []string // insertion order, for retention eviction
@@ -332,25 +310,23 @@ type jobManager struct {
 }
 
 func newJobManager(workers, depth int, jobTimeout time.Duration, retain, maxRetries int,
-	retryBase time.Duration, affinityWindow int, node string, journal *wal.Log,
+	retryBase time.Duration, node string, journal *wal.Log,
 	hooks *telemetry.Hooks, reg *telemetry.Registry) *jobManager {
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &jobManager{
-		hooks:          hooks,
-		reg:            reg,
-		jobTimeout:     jobTimeout,
-		retain:         retain,
-		node:           node,
-		maxRetries:     maxRetries,
-		retryBase:      retryBase,
-		affinityWindow: affinityWindow,
-		wal:            journal,
-		baseCtx:        ctx,
-		baseCancel:     cancel,
-		queue:          make(chan *Job, depth),
-		wake:           make(chan struct{}, 1),
-		jobs:           make(map[string]*Job),
-		accepting:      true,
+		hooks:      hooks,
+		reg:        reg,
+		jobTimeout: jobTimeout,
+		retain:     retain,
+		node:       node,
+		maxRetries: maxRetries,
+		retryBase:  retryBase,
+		wal:        journal,
+		baseCtx:    ctx,
+		baseCancel: cancel,
+		queue:      make(chan *Job, depth),
+		jobs:       make(map[string]*Job),
+		accepting:  true,
 	}
 	for i := 0; i < workers; i++ {
 		m.wg.Add(1)
@@ -362,8 +338,7 @@ func newJobManager(workers, depth int, jobTimeout time.Duration, retain, maxRetr
 // submit enqueues a job; errBusy when the queue is full, errDraining
 // after drain started. payload is the canonical request body journaled
 // to the WAL (and surfaced on orphaned-job views); nil is fine for
-// unjournaled managers. meta tags the job for affinity batching and
-// pprof attribution (the zero value opts out of both).
+// unjournaled managers. meta tags the job for pprof attribution.
 func (m *jobManager) submit(kind string, payload []byte, meta jobMeta, run func(ctx context.Context) (any, error)) (*Job, error) {
 	m.mu.Lock()
 	if !m.accepting {
@@ -547,21 +522,11 @@ func (m *jobManager) cancelJob(j *Job) {
 	j.mu.Unlock()
 }
 
-// worker executes jobs until the queue closes and the reorder buffer is
-// empty. It remembers its previous job's affinity key so nextJob can
-// batch same-shape work onto it, and counts consecutive same-affinity
-// dispatches (natural or reordered — both land on a warm machine cache).
+// worker executes jobs in arrival order until the queue closes.
 func (m *jobManager) worker() {
 	defer m.wg.Done()
 	running := m.reg.Gauge("pac_jobs_running", "Jobs currently executing.")
-	batched := m.reg.Counter("pac_jobs_affinity_batched_total",
-		"Jobs dispatched to a worker whose previous job had the same affinity key.")
-	last := ""
-	for {
-		j, ok := m.nextJob(last)
-		if !ok {
-			return
-		}
+	for j := range m.queue {
 		m.noteDepth()
 		j.mu.Lock()
 		if j.status != StatusQueued {
@@ -571,123 +536,8 @@ func (m *jobManager) worker() {
 		j.status = StatusRunning
 		j.started = time.Now()
 		j.mu.Unlock()
-		if j.meta.affinity != "" && j.meta.affinity == last {
-			batched.Inc()
-		}
-		last = j.meta.affinity
 		m.journal(m.walRunning, j.id)
 		m.execute(j, running)
-	}
-}
-
-// nextJob hands the calling worker its next job, preferring one whose
-// affinity key matches the worker's previous job (last). With batching
-// disabled (affinityWindow <= 0) it degrades to a plain channel
-// receive. The second return is false when the queue is closed and
-// fully drained.
-func (m *jobManager) nextJob(last string) (*Job, bool) {
-	if m.affinityWindow <= 0 {
-		j, ok := <-m.queue
-		return j, ok
-	}
-	for {
-		m.dispatchMu.Lock()
-		m.refillLocked()
-		j := m.pickLocked(last)
-		extra := len(m.pending) > 0
-		m.dispatchMu.Unlock()
-		if j != nil {
-			if extra {
-				m.nudge()
-			}
-			return j, true
-		}
-		// Reorder buffer empty: block for the next arrival (or a nudge
-		// from a worker that parked extra jobs in the buffer).
-		select {
-		case j, ok := <-m.queue:
-			if !ok {
-				// Queue closed: serve whatever peers parked in the
-				// buffer, then exit.
-				m.dispatchMu.Lock()
-				j = m.pickLocked(last)
-				extra = len(m.pending) > 0
-				m.dispatchMu.Unlock()
-				if j != nil {
-					if extra {
-						m.nudge()
-					}
-					return j, true
-				}
-				return nil, false
-			}
-			m.dispatchMu.Lock()
-			m.pending = append(m.pending, j)
-			j = m.pickLocked(last)
-			extra = len(m.pending) > 0
-			m.dispatchMu.Unlock()
-			if extra {
-				m.nudge()
-			}
-			return j, true
-		case <-m.wake:
-			// Re-check the buffer.
-		}
-	}
-}
-
-// refillLocked tops the reorder buffer up to the affinity window from
-// the queue without blocking — batching trades no latency: an idle
-// system dispatches in strict arrival order, the window only forms
-// under backlog.
-func (m *jobManager) refillLocked() {
-	for len(m.pending) < m.affinityWindow {
-		select {
-		case j, ok := <-m.queue:
-			if !ok {
-				return
-			}
-			m.pending = append(m.pending, j)
-		default:
-			return
-		}
-	}
-}
-
-// pickLocked removes and returns the dispatched job: the oldest one
-// whose affinity matches last within the window, else the FIFO head.
-// Every job skipped over is aged; a head skipped affinityWindow times
-// is served unconditionally, bounding reorder delay.
-func (m *jobManager) pickLocked(last string) *Job {
-	if len(m.pending) == 0 {
-		return nil
-	}
-	pick := 0
-	if last != "" && m.pending[0].meta.affinity != last &&
-		m.pending[0].passedOver < m.affinityWindow {
-		for i := 1; i < len(m.pending) && i < m.affinityWindow; i++ {
-			if m.pending[i].meta.affinity == last {
-				pick = i
-				break
-			}
-		}
-	}
-	j := m.pending[pick]
-	for i := 0; i < pick; i++ {
-		m.pending[i].passedOver++
-	}
-	copy(m.pending[pick:], m.pending[pick+1:])
-	m.pending[len(m.pending)-1] = nil
-	m.pending = m.pending[:len(m.pending)-1]
-	return j
-}
-
-// nudge rouses one worker blocked on the empty queue so jobs parked in
-// the reorder buffer are never stranded behind sleeping workers.
-func (m *jobManager) nudge() {
-	select {
-	case m.wake <- struct{}{}:
-	default:
 	}
 }
 
@@ -718,8 +568,7 @@ func (m *jobManager) execute(j *Job, running *telemetry.Gauge) {
 		// Label the attempt's goroutine (and everything it spawns) so
 		// -pprof profiles attribute hot time per workload.
 		pprof.Do(ctx, pprof.Labels(
-			"job", j.kind, "bench", j.meta.bench,
-			"mode", j.meta.mode, "shape", j.meta.affinity,
+			"job", j.kind, "bench", j.meta.bench, "mode", j.meta.mode,
 		), func(ctx context.Context) {
 			result, err = m.runAttempt(ctx, j)
 		})
@@ -845,12 +694,8 @@ func (m *jobManager) walRunning(id string) error { return m.wal.Running(id) }
 
 // noteDepth records the queue depth through the telemetry hooks (the
 // KindQueueDepth event keeps the pac_jobs_queue_depth gauge current).
-// Jobs parked in the reorder buffer are still waiting, so they count.
 func (m *jobManager) noteDepth() {
-	m.dispatchMu.Lock()
-	depth := len(m.queue) + len(m.pending)
-	m.dispatchMu.Unlock()
-	m.hooks.Emit(telemetry.Event{Kind: telemetry.KindQueueDepth, Depth: depth})
+	m.hooks.Emit(telemetry.Event{Kind: telemetry.KindQueueDepth, Depth: len(m.queue)})
 }
 
 // broadcastProgress fans one session progress line out to every running

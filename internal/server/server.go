@@ -136,18 +136,6 @@ type Config struct {
 	// CheckpointEvery is the checkpoint cadence in simulated cycles
 	// (default 2,000,000 when CheckpointDir is set).
 	CheckpointEvery int64
-	// AffinityWindow bounds the job dispatcher's reorder buffer: ready
-	// jobs are grouped by machine-shape affinity within this many queue
-	// positions so same-shape jobs run consecutively on a worker (warm
-	// machine cache), with strict FIFO beyond the window and for jobs a
-	// match has skipped window times. 0 defaults to 8; negative disables
-	// batching (plain FIFO).
-	AffinityWindow int
-	// MachineCache caps parked machines per sim Scratch arena
-	// (sim.SetMachineCacheCap); 0 keeps sim.DefaultMachineCacheCap.
-	// Each parked machine holds its component graph plus up to 16 MiB of
-	// replay trace, so the cap bounds warm-state memory.
-	MachineCache int
 }
 
 func (c Config) withDefaults() Config {
@@ -192,9 +180,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CheckpointDir != "" && c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 2_000_000
-	}
-	if c.AffinityWindow == 0 {
-		c.AffinityWindow = 8
 	}
 	if c.Registry == nil {
 		c.Registry = telemetry.NewRegistry()
@@ -244,13 +229,12 @@ func New(cfg Config) *Server {
 		s.ckpts = newCheckpointStore(cfg.CheckpointDir, s.reg)
 	}
 	s.jobs = newJobManager(cfg.Concurrency, cfg.QueueDepth, cfg.JobTimeout,
-		cfg.RetainJobs, cfg.MaxRetries, cfg.RetryBaseDelay, cfg.AffinityWindow,
+		cfg.RetainJobs, cfg.MaxRetries, cfg.RetryBaseDelay,
 		cfg.NodeID, cfg.WAL, s.hooks, s.reg)
-	// One shape-aware arena pool for the whole daemon: sessions come and
-	// go under the MaxSessions LRU, but their parked machines live in
-	// these shared Scratches, so an evicted-and-recreated session still
-	// finds its shape warm. Sized to the worker pool plus hand-off slack.
-	scratches := experiments.NewScratchPool(2*cfg.Concurrency, cfg.MachineCache)
+	// One arena pool for the whole daemon: sessions come and go under
+	// the MaxSessions LRU, but their recycled buffers live in these
+	// shared Scratches. Sized to the worker pool plus hand-off slack.
+	scratches := experiments.NewScratchPool(2 * cfg.Concurrency)
 	s.pool = newSessionPool(cfg.MaxSessions, s.hooks, s.jobs.broadcastProgress,
 		s.checkpointPolicy, scratches)
 	// Materialise the default session eagerly so the daemon's base

@@ -1,10 +1,9 @@
 package sim
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"log"
+	"strings"
 
 	"github.com/pacsim/pac/internal/cache"
 	"github.com/pacsim/pac/internal/coalesce"
@@ -80,46 +79,6 @@ type machine struct {
 	// fault injection (the injector is run-scoped; excluding it keeps
 	// reset exact).
 	cacheable bool
-
-	// shape is the canonical shape key over the machineReusable field
-	// set, computed once at construction. It never drives cache lookup
-	// (takeMachine compares configs directly, allocation-free); it backs
-	// the shape-aware Scratch pool (HasShape) and pprof labels.
-	shape string
-}
-
-// ShapeKey returns the canonical machine-shape key of cfg: a short hex
-// digest over exactly the fields machineReusable compares, with
-// run-scoped fields (Hooks, TraceSink, MaxCycles, ReferenceStepper,
-// Scratch, checkpointing) excluded. Two configs with equal keys park and
-// check out the same machine. Configs that can never park a machine —
-// caller-supplied generators, fault injection, or invalid configs —
-// return "".
-func ShapeKey(cfg Config) string {
-	if err := cfg.normalize(); err != nil {
-		return ""
-	}
-	if cfg.Generators != nil || cfg.Faults.Enabled() {
-		return ""
-	}
-	return shapeKeyOf(&cfg)
-}
-
-// shapeKeyOf digests a normalized config's machineReusable field set.
-// Every field is a plain value type (machineReusable compares them with
-// ==), so %v formatting is deterministic.
-func shapeKeyOf(cfg *Config) string {
-	h := sha256.New()
-	for _, p := range cfg.Procs {
-		fmt.Fprintf(h, "%s/%d|", p.Benchmark, p.Cores)
-	}
-	fmt.Fprintf(h, "%d|%g|%d|%d|%v|%d|%d|%d|%d|%d|%v|%v|%v|%t|%t",
-		cfg.Seed, cfg.Scale, cfg.AccessesPerCore, cfg.Mode, cfg.PAC,
-		cfg.MSHRs, cfg.MaxSubentries, cfg.MaxOutstandingLoads,
-		cfg.PrefetchThrottle, cfg.IssueInterval, cfg.Prefetch,
-		cfg.Hierarchy, cfg.HMC, cfg.DisableNetworkCtrl, cfg.Virtualize)
-	sum := h.Sum(nil)
-	return hex.EncodeToString(sum[:8])
 }
 
 // machineReusable reports whether a machine built for config a can run
@@ -256,7 +215,6 @@ func buildMachine(cfg Config, scratch *Scratch, shared bool) (*machine, error) {
 	}
 
 	m.cacheable = callerGens == nil && !cfg.Faults.Enabled()
-	m.shape = shapeKeyOf(&m.cfg)
 	if m.cacheable && shared {
 		if total := int64(len(m.cores)) * int64(cfg.AccessesPerCore); total <= traceBudget {
 			m.recording = true
@@ -265,8 +223,8 @@ func buildMachine(cfg Config, scratch *Scratch, shared bool) (*machine, error) {
 			// No silent caps: warm reuse of this machine will re-run the
 			// generators every time instead of replaying. Say so once.
 			m.traceSkipped = true
-			log.Printf("sim: workload record-replay skipped for shape %s: %d accesses exceed budget %d; warm runs re-generate",
-				m.shape, total, traceBudget)
+			log.Printf("sim: workload record-replay skipped for %s: %d accesses exceed budget %d; warm runs re-generate",
+				strings.Join(m.benchNames, "+"), total, traceBudget)
 		}
 	}
 	return m, nil
@@ -345,8 +303,8 @@ func (r *Runner) nextAccess(c *coreState, coreIdx int) workload.Access {
 			m.traceLen = 0
 			m.traceSkipped = true
 			m.traceSkipNoted = false
-			log.Printf("sim: workload record-replay abandoned mid-run for shape %s: recording exceeded budget %d; warm runs re-generate",
-				m.shape, traceBudget)
+			log.Printf("sim: workload record-replay abandoned mid-run for %s: recording exceeded budget %d; warm runs re-generate",
+				strings.Join(m.benchNames, "+"), traceBudget)
 		} else {
 			m.trace[coreIdx] = append(m.trace[coreIdx], a)
 			m.traceLen++

@@ -5,13 +5,6 @@ import (
 	"github.com/pacsim/pac/internal/mem"
 )
 
-// DefaultMachineCacheCap is how many parked machines a Scratch retains
-// when the caller does not choose a cap (SetMachineCacheCap). Four covers
-// the common interleavings — a sweep alternating modes, a worker serving
-// a handful of tenants — while bounding the trace-replay memory at
-// cap × 16 MiB worst case (see traceBudget).
-const DefaultMachineCacheCap = 4
-
 // Scratch is the reusable-buffer arena of one simulation run: the parent
 // free-list shared by every pipeline stage and the driver, the recycled
 // outstanding/pending-fill sets, and the cores' parked-output buffers.
@@ -21,29 +14,24 @@ const DefaultMachineCacheCap = 4
 //
 // A Scratch is NOT safe for concurrent use: it must be owned by exactly
 // one running simulation at a time. Hand-off between sequential runs is
-// the caller's job (experiments.ScratchPool hands workers a Scratch
-// already warm for their job's shape when it has one).
+// the caller's job (experiments.ScratchPool).
 type Scratch struct {
 	parents  *arena.SlicePool[mem.Request]
 	sets     []*arena.SmallSet
 	fillSets []*arena.U64Set
 	outBufs  [][]outReq
 
-	// machs are the parked component graphs of recently completed runs,
-	// most-recently-used first, keyed by machine shape (the
-	// machineReusable field set). takeMachine hands one out when the next
-	// run's config matches; an incompatible run builds fresh and parks
-	// its machine at the MRU position on completion, evicting the LRU
-	// entry beyond machCap. Lookup is a linear machineReusable scan —
-	// never a computed key — so the warm path stays allocation-free.
-	machs   []*machine
-	machCap int // 0 means DefaultMachineCacheCap
+	// mach is the parked component graph of the last completed run (one
+	// slot: workers re-run the same configuration back to back, so one
+	// machine covers the steady state). takeMachine hands it out when the
+	// next run's config is compatible; an incompatible run builds fresh
+	// and the newly built machine replaces the parked one on completion.
+	mach *machine
 
-	// Cumulative machine-cache statistics: takeMachine outcomes and
-	// putMachine evictions. They back the pac_machine_cache_* counters
-	// and the warm-path tests; reads are only meaningful between runs
-	// (same single-owner contract as the rest of the Scratch).
-	machHits, machMisses, machEvictions uint64
+	// Cumulative takeMachine outcomes. They back the warm-path tests;
+	// reads are only meaningful between runs (same single-owner contract
+	// as the rest of the Scratch).
+	machHits, machMisses uint64
 
 	// histHint is the high-water LoadLatencyHist capacity across runs on
 	// this Scratch; pre-sizing the next run's histogram to it collapses
@@ -107,116 +95,41 @@ func (s *Scratch) putFillSet(set *arena.U64Set) {
 	s.fillSets = append(s.fillSets, set)
 }
 
-// SetMachineCacheCap bounds how many parked machines this Scratch
-// retains (minimum 1; the default is DefaultMachineCacheCap). Shrinking
-// below the current population evicts LRU entries immediately, returning
-// their pooled buffers to the arena.
-func (s *Scratch) SetMachineCacheCap(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.machCap = n
-	for len(s.machs) > n {
-		s.evictLRU()
-	}
+// MachineCacheStats reports the cumulative takeMachine hit and miss
+// counts for this Scratch.
+func (s *Scratch) MachineCacheStats() (hits, misses uint64) {
+	return s.machHits, s.machMisses
 }
 
-// machineCap returns the effective parked-machine bound.
-func (s *Scratch) machineCap() int {
-	if s.machCap > 0 {
-		return s.machCap
-	}
-	return DefaultMachineCacheCap
-}
-
-// MachineCacheLen reports how many machines are currently parked.
-func (s *Scratch) MachineCacheLen() int { return len(s.machs) }
-
-// MachineCacheStats reports the cumulative takeMachine hit/miss and
-// putMachine eviction counts for this Scratch.
-func (s *Scratch) MachineCacheStats() (hits, misses, evictions uint64) {
-	return s.machHits, s.machMisses, s.machEvictions
-}
-
-// HasShape reports whether a machine with the given shape key
-// (sim.ShapeKey) is currently parked. Shape-aware pools use it to route
-// a worker to a Scratch that is already warm for its job.
-func (s *Scratch) HasShape(key string) bool {
-	if key == "" {
-		return false
-	}
-	for _, m := range s.machs {
-		if m.shape == key {
-			return true
-		}
-	}
-	return false
-}
-
-// takeMachine hands out a parked machine that can run cfg, reset to its
-// just-constructed state, promoting the cache scan order as an LRU. A
-// reset failure dismantles the machine back into the arena (the caller
-// builds fresh); results are never at risk, only reuse.
+// takeMachine hands out the parked machine when it can run cfg, reset to
+// its just-constructed state. A reset failure dismantles the machine
+// back into the arena (the caller builds fresh); results are never at
+// risk, only reuse.
 func (s *Scratch) takeMachine(cfg *Config) (*machine, bool) {
-	for i, m := range s.machs {
-		if !machineReusable(&m.cfg, cfg) {
-			continue
+	if m := s.mach; m != nil && machineReusable(&m.cfg, cfg) {
+		s.mach = nil
+		if err := m.reset(); err == nil {
+			s.machHits++
+			return m, true
 		}
-		copy(s.machs[i:], s.machs[i+1:])
-		s.machs[len(s.machs)-1] = nil
-		s.machs = s.machs[:len(s.machs)-1]
-		if err := m.reset(); err != nil {
-			s.dismantle(m)
-			break
-		}
-		s.machHits++
-		return m, true
+		s.dismantle(m)
 	}
 	s.machMisses++
 	return nil, false
 }
 
-// putMachine parks a machine at the MRU position for the next compatible
-// run, evicting least-recently-used entries beyond the cap and returning
-// the count evicted. Only cacheable machines that finished a completed
-// (fully drained) run belong here — the caller guarantees the latter.
-func (s *Scratch) putMachine(m *machine) (evicted int) {
+// putMachine parks a machine for the next compatible run, dismantling
+// the one it displaces. Only cacheable machines that finished a
+// completed (fully drained) run belong here — the caller guarantees the
+// latter.
+func (s *Scratch) putMachine(m *machine) {
 	if m == nil || !m.cacheable {
-		return 0
-	}
-	// A same-shape entry can only exist if this machine's own checkout
-	// failed mid-reset and a fresh build raced it back in — but stay
-	// defensive: duplicates would make HasShape and eviction accounting
-	// lie, so replace rather than double-park.
-	for i, parked := range s.machs {
-		if machineReusable(&parked.cfg, &m.cfg) {
-			s.dismantle(parked)
-			s.machs = append(s.machs[:i], s.machs[i+1:]...)
-			break
-		}
-	}
-	s.machs = append(s.machs, nil)
-	copy(s.machs[1:], s.machs)
-	s.machs[0] = m
-	for len(s.machs) > s.machineCap() {
-		s.evictLRU()
-		evicted++
-	}
-	return evicted
-}
-
-// evictLRU drops the least-recently-used parked machine, dismantling it
-// so its pooled buffers return to the arena for the next fresh build.
-func (s *Scratch) evictLRU() {
-	n := len(s.machs)
-	if n == 0 {
 		return
 	}
-	m := s.machs[n-1]
-	s.machs[n-1] = nil
-	s.machs = s.machs[:n-1]
-	s.dismantle(m)
-	s.machEvictions++
+	if s.mach != nil {
+		s.dismantle(s.mach)
+	}
+	s.mach = m
 }
 
 // dismantle returns a machine's recyclable buffers to the arena pools:

@@ -321,11 +321,8 @@ type Runner struct {
 	// Reset contract covers recycling for).
 	completedOK bool
 	// machWarm records whether the machine came from the Scratch cache
-	// (takeMachine hit); machEvicted counts the parked machines release
-	// evicted when parking this run's. Both ride the terminal telemetry
-	// event.
-	machWarm    bool
-	machEvicted int
+	// (takeMachine hit); it rides the terminal telemetry event.
+	machWarm bool
 
 	// pacStats is the Result's PAC snapshot slot, so collect need not
 	// allocate one per run.
@@ -430,40 +427,33 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 		fs = r.faults.Snapshot()
 	}
 	if err != nil {
-		// Release before the terminal event so its machine-cache fields
-		// (evictions in particular) describe this run; release is
-		// idempotent, so the deferred safety call above stays a no-op.
-		r.release()
 		kind := telemetry.KindSimFailed
 		if ctxErr := ctx.Err(); ctxErr != nil && errors.Is(err, ctxErr) {
 			kind = telemetry.KindSimCancelled
 		}
 		hooks.Emit(telemetry.Event{
 			Kind: kind, Bench: bench, Mode: mode,
-			FaultsCRC:        fs.LinkCRCErrors,
-			FaultsStall:      fs.VaultStalls,
-			FaultsPoison:     fs.PoisonedResponses,
-			MachineWarm:      r.machWarm,
-			MachineEvictions: int64(r.machEvicted),
-			ReplaySkips:      r.takeReplaySkip(),
+			FaultsCRC:    fs.LinkCRCErrors,
+			FaultsStall:  fs.VaultStalls,
+			FaultsPoison: fs.PoisonedResponses,
+			MachineWarm:  r.machWarm,
+			ReplaySkips:  r.takeReplaySkip(),
 		})
 		return nil, err
 	}
 	r.collect()
-	r.release()
 	hooks.Emit(telemetry.Event{
-		Kind:             telemetry.KindSimCompleted,
-		Bench:            bench,
-		Mode:             mode,
-		Wall:             time.Since(start),
-		Cycles:           r.res.Cycles,
-		Skipped:          r.res.SkippedCycles,
-		FaultsCRC:        fs.LinkCRCErrors,
-		FaultsStall:      fs.VaultStalls,
-		FaultsPoison:     fs.PoisonedResponses,
-		MachineWarm:      r.machWarm,
-		MachineEvictions: int64(r.machEvicted),
-		ReplaySkips:      r.takeReplaySkip(),
+		Kind:         telemetry.KindSimCompleted,
+		Bench:        bench,
+		Mode:         mode,
+		Wall:         time.Since(start),
+		Cycles:       r.res.Cycles,
+		Skipped:      r.res.SkippedCycles,
+		FaultsCRC:    fs.LinkCRCErrors,
+		FaultsStall:  fs.VaultStalls,
+		FaultsPoison: fs.PoisonedResponses,
+		MachineWarm:  r.machWarm,
+		ReplaySkips:  r.takeReplaySkip(),
 	})
 	r.hier.Record(hooks, bench)
 	return &r.res, nil
@@ -472,9 +462,8 @@ func (r *Runner) RunContext(ctx context.Context) (*Result, error) {
 // takeReplaySkip consumes the machine's pending record-replay budget
 // skip: 1 on the first terminal event after the skip, 0 afterwards, so
 // the pac_replay_budget_skips_total counter counts machines, not runs.
-// Safe after release — the runner keeps its machine reference (parking
-// only shares it with the Scratch, and the machine may be reused by a
-// later run, which is exactly why the note must latch).
+// The note latches on the machine because a parked machine may be
+// reused by a later run.
 func (r *Runner) takeReplaySkip() int64 {
 	m := r.m
 	if !m.traceSkipped || m.traceSkipNoted {
@@ -504,7 +493,7 @@ func (r *Runner) release() {
 	r.scratch.putOutBuf(r.groupBuf)
 	if r.completedOK && r.m.cacheable {
 		r.m.finishRecording(r.cfg.AccessesPerCore)
-		r.machEvicted = r.scratch.putMachine(r.m)
+		r.scratch.putMachine(r.m)
 		return
 	}
 	for i := range r.cores {

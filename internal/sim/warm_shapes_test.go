@@ -1,12 +1,12 @@
 package sim
 
-// The alternating-shape determinism suite: the shape-keyed machine
-// cache must be invisible in results no matter how configurations
-// interleave — round-robin over N shapes, LRU thrash with more shapes
-// than capacity, and clean/faulted interleaving. Each scenario compares
-// warm runs against cold baselines (and, for the round-robin, against
-// the reference stepper) and pins the cache's hit/miss/eviction
-// accounting so a silently disabled cache cannot pass.
+// The alternating-shape determinism suite: the Scratch's single parked
+// machine must be invisible in results no matter how configurations
+// interleave — round-robin over N shapes (every checkout a rebuild),
+// a same-shape repeat after that churn (a hit), and clean/faulted
+// interleaving. Each scenario compares warm runs against cold baselines
+// (and, for the round-robin, against the reference stepper) and pins the
+// hit/miss accounting so a silently disabled cache cannot pass.
 
 import (
 	"fmt"
@@ -30,59 +30,12 @@ func shapeSchedule(n int) []Config {
 	return cfgs
 }
 
-// TestShapeKeyProperties pins the key the affinity layers route on:
-// deterministic for equal configs, distinct across every field that
-// forces a machine rebuild, and empty exactly when a run is uncacheable
-// (faults, caller-supplied generators, invalid config).
-func TestShapeKeyProperties(t *testing.T) {
-	base := smallConfig("GS", coalesce.ModePAC)
-	key := ShapeKey(base)
-	if key == "" {
-		t.Fatal("valid config produced an empty shape key")
-	}
-	if again := ShapeKey(base); again != key {
-		t.Fatalf("shape key not deterministic: %q then %q", key, again)
-	}
-
-	seen := map[string]string{key: "base"}
-	variants := map[string]Config{}
-	v := base
-	v.AccessesPerCore += 100
-	variants["accesses"] = v
-	v = base
-	v.Seed++
-	variants["seed"] = v
-	v = base
-	v.MSHRs++
-	variants["mshrs"] = v
-	variants["mode"] = smallConfig("GS", coalesce.ModeNone)
-	variants["bench"] = smallConfig("STREAM", coalesce.ModePAC)
-	for name, cfg := range variants {
-		k := ShapeKey(cfg)
-		if k == "" {
-			t.Fatalf("%s variant produced an empty shape key", name)
-		}
-		if prev, dup := seen[k]; dup {
-			t.Fatalf("%s variant collides with %s: %q", name, prev, k)
-		}
-		seen[k] = name
-	}
-
-	faulted := base
-	faulted.Faults = chaosPlan()
-	if k := ShapeKey(faulted); k != "" {
-		t.Fatalf("faulted config has shape key %q, want empty (cache bypass)", k)
-	}
-	if k := ShapeKey(Config{}); k != "" {
-		t.Fatalf("invalid config has shape key %q, want empty", k)
-	}
-}
-
 // TestWarmShapeRoundRobin is the headline scenario: four shapes issued
-// round-robin through one Scratch for several rounds. Every warm result
-// must be byte-identical to its cold baseline, the cold baseline itself
-// must match the reference stepper, and the cache accounting must show
-// the first round missing and every later round hitting.
+// round-robin through one Scratch for several rounds. The single slot
+// never holds the next shape, so every checkout misses and rebuilds over
+// the previous run's recycled buffers. Every such result must be
+// byte-identical to its cold baseline, and the cold baseline itself must
+// match the reference stepper.
 func TestWarmShapeRoundRobin(t *testing.T) {
 	const shapes, rounds = 4, 3
 	cfgs := shapeSchedule(shapes)
@@ -94,7 +47,6 @@ func TestWarmShapeRoundRobin(t *testing.T) {
 	}
 
 	sc := NewScratch()
-	sc.SetMachineCacheCap(shapes)
 	for round := 0; round < rounds; round++ {
 		for i, cfg := range cfgs {
 			cfg.Scratch = sc
@@ -106,31 +58,19 @@ func TestWarmShapeRoundRobin(t *testing.T) {
 		}
 	}
 
-	hits, misses, evictions := sc.MachineCacheStats()
-	if want := uint64(shapes * (rounds - 1)); hits != want {
-		t.Errorf("hits = %d, want %d (every post-first-round run warm)", hits, want)
+	hits, misses := sc.MachineCacheStats()
+	if hits != 0 {
+		t.Errorf("hits = %d, want 0 (alternating shapes never match the parked machine)", hits)
 	}
-	if misses != shapes {
-		t.Errorf("misses = %d, want %d (first round only)", misses, shapes)
-	}
-	if evictions != 0 {
-		t.Errorf("evictions = %d, want 0 (cap holds all shapes)", evictions)
-	}
-	if got := sc.MachineCacheLen(); got != shapes {
-		t.Errorf("parked machines = %d, want %d", got, shapes)
-	}
-	for i, cfg := range cfgs {
-		if key := ShapeKey(cfg); !sc.HasShape(key) {
-			t.Errorf("shape %d (%s) not reported by HasShape", i, key)
-		}
+	if want := uint64(shapes * rounds); misses != want {
+		t.Errorf("misses = %d, want %d (every checkout a rebuild)", misses, want)
 	}
 }
 
-// TestWarmShapeEvictionRebuild drives more shapes than the cache holds:
-// a three-shape round-robin over a two-entry cache thrashes the LRU on
-// every run, so machines are continually evicted and rebuilt — and the
-// results must not care. A repeated shape at the end proves a rebuilt
-// machine parks and hits again after its eviction.
+// TestWarmShapeEvictionRebuild runs a three-shape round-robin, so each
+// parked machine is displaced by the next shape's build, then repeats
+// shapes back to back: the last shape parked hits, and a displaced shape
+// rebuilds once, parks, and hits on its repeat. Results must not care.
 func TestWarmShapeEvictionRebuild(t *testing.T) {
 	cfgs := shapeSchedule(3)
 	cold := make([]*Result, len(cfgs))
@@ -139,46 +79,39 @@ func TestWarmShapeEvictionRebuild(t *testing.T) {
 	}
 
 	sc := NewScratch()
-	sc.SetMachineCacheCap(2)
-	for round := 0; round < 3; round++ {
-		for i, cfg := range cfgs {
-			cfg.Scratch = sc
-			if warm := run(t, cfg); !reflect.DeepEqual(warm, cold[i]) {
-				t.Fatalf("round %d shape %d: warm result diverges from cold after eviction churn",
-					round, i)
-			}
+	runWarm := func(i int, label string) {
+		t.Helper()
+		cfg := cfgs[i]
+		cfg.Scratch = sc
+		if warm := run(t, cfg); !reflect.DeepEqual(warm, cold[i]) {
+			t.Fatalf("%s: shape %d warm result diverges from cold", label, i)
 		}
 	}
-	hits, misses, evictions := sc.MachineCacheStats()
-	if evictions == 0 {
-		t.Error("evictions = 0; the two-entry cache never evicted across a three-shape thrash")
+	for i := range cfgs {
+		runWarm(i, "round-robin")
 	}
-	if hits != 0 {
-		t.Errorf("hits = %d, want 0 (round-robin of 3 over cap 2 always misses)", hits)
-	}
-	if misses != 9 {
-		t.Errorf("misses = %d, want 9", misses)
+	if hits, misses := sc.MachineCacheStats(); hits != 0 || misses != 3 {
+		t.Fatalf("after round-robin: hits/misses = %d/%d, want 0/3", hits, misses)
 	}
 
-	// Back-to-back repeat of one shape: the rebuild parked it, so the
-	// second run must be a hit and still byte-identical.
-	cfg := cfgs[0]
-	cfg.Scratch = sc
-	if warm := run(t, cfg); !reflect.DeepEqual(warm, cold[0]) {
-		t.Fatal("post-thrash rebuild run diverges from cold")
+	// The last shape is the parked one: its repeat is a hit.
+	runWarm(2, "repeat of parked shape")
+	if hits, _ := sc.MachineCacheStats(); hits != 1 {
+		t.Fatalf("repeat of the parked shape was not a hit (hits = %d)", hits)
 	}
-	if warm := run(t, cfg); !reflect.DeepEqual(warm, cold[0]) {
-		t.Fatal("post-rebuild warm hit diverges from cold")
-	}
-	if h, _, _ := sc.MachineCacheStats(); h != hits+1 {
-		t.Errorf("repeat run was not a cache hit (hits %d -> %d)", hits, h)
+
+	// A displaced shape rebuilds once, then hits on its repeat.
+	runWarm(0, "rebuild of displaced shape")
+	runWarm(0, "repeat after rebuild")
+	if hits, misses := sc.MachineCacheStats(); hits != 2 || misses != 4 {
+		t.Fatalf("after rebuild and repeat: hits/misses = %d/%d, want 2/4", hits, misses)
 	}
 }
 
 // TestWarmShapeFaultedBypassStats interleaves clean and faulted runs of
 // the same benchmark and pins the bypass accounting: a faulted run never
-// checks a machine out (no hit), never parks one (population unchanged),
-// and the clean stream keeps hitting across it.
+// checks a machine out (no hit) and never parks one (the clean machine
+// stays parked), so the clean stream keeps hitting across it.
 func TestWarmShapeFaultedBypassStats(t *testing.T) {
 	clean := smallConfig("CG", coalesce.ModePAC)
 	clean.AccessesPerCore = 1_000
@@ -193,21 +126,14 @@ func TestWarmShapeFaultedBypassStats(t *testing.T) {
 	if got := run(t, cfg); !reflect.DeepEqual(got, coldClean) {
 		t.Fatal("first warm clean run diverges from cold")
 	}
-	if got := sc.MachineCacheLen(); got != 1 {
-		t.Fatalf("parked machines after clean run = %d, want 1", got)
-	}
 
 	cfg = faulty
 	cfg.Scratch = sc
 	if got := run(t, cfg); !reflect.DeepEqual(got, coldFaulty) {
 		t.Fatal("warm faulted run diverges from cold")
 	}
-	hits, _, _ := sc.MachineCacheStats()
-	if hits != 0 {
+	if hits, _ := sc.MachineCacheStats(); hits != 0 {
 		t.Fatalf("faulted run hit the machine cache (hits = %d)", hits)
-	}
-	if got := sc.MachineCacheLen(); got != 1 {
-		t.Fatalf("faulted run changed the parked population to %d, want 1", got)
 	}
 
 	cfg = clean
@@ -215,7 +141,7 @@ func TestWarmShapeFaultedBypassStats(t *testing.T) {
 	if got := run(t, cfg); !reflect.DeepEqual(got, coldClean) {
 		t.Fatal("clean run after faulted interleave diverges from cold")
 	}
-	if h, _, _ := sc.MachineCacheStats(); h != 1 {
-		t.Fatalf("clean run after faulted interleave was not a hit (hits = %d)", h)
+	if hits, _ := sc.MachineCacheStats(); hits != 1 {
+		t.Fatalf("clean run after faulted interleave was not a hit (hits = %d)", hits)
 	}
 }

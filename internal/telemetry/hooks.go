@@ -87,9 +87,6 @@ type Event struct {
 	// (hit) or had to build it fresh (miss — including cache-ineligible
 	// faulted and caller-generator runs).
 	MachineWarm bool
-	// MachineEvictions counts parked machines the run's release evicted
-	// from the Scratch machine cache (LRU overflow); terminal events.
-	MachineEvictions int64
 	// ReplaySkips is 1 on the first terminal event after a machine's
 	// workload record-replay was abandoned for exceeding the recording
 	// budget (the cache silently degrading to generator re-runs is a
@@ -153,7 +150,6 @@ const (
 	MetricLinkRetries    = "pac_link_retries_total"
 	MetricMachineHits    = "pac_machine_cache_hits_total"
 	MetricMachineMisses  = "pac_machine_cache_misses_total"
-	MetricMachineEvicted = "pac_machine_cache_evictions_total"
 	MetricReplaySkips    = "pac_replay_budget_skips_total"
 )
 
@@ -202,18 +198,13 @@ func InstrumentedHooks(r *Registry) *Hooks {
 }
 
 // recordMachine translates a terminal simulation event's machine-cache
-// outcome into the warm-path counters: one hit or miss per run, plus any
-// LRU evictions the run's release caused and the once-per-machine
-// record-replay budget skip.
+// outcome into the warm-path counters: one hit or miss per run, plus the
+// once-per-machine record-replay budget skip.
 func recordMachine(r *Registry, ev Event) {
 	if ev.MachineWarm {
 		r.Counter(MetricMachineHits, "Runs served by a parked machine from the Scratch cache.").Inc()
 	} else {
 		r.Counter(MetricMachineMisses, "Runs that built their machine fresh.").Inc()
-	}
-	if ev.MachineEvictions > 0 {
-		r.Counter(MetricMachineEvicted, "Parked machines evicted from the Scratch cache (LRU overflow).").
-			Add(float64(ev.MachineEvictions))
 	}
 	if ev.ReplaySkips > 0 {
 		r.Counter(MetricReplaySkips, "Machines whose workload record-replay was skipped for exceeding the recording budget.").

@@ -7,9 +7,9 @@
 #
 #   - The steady-state paths (coalesce-event, mshr-cycle, hmc-submit-pop)
 #     must report 0 allocs/op.
-#   - sim-run-warm — a whole simulation on a warm shared Scratch, machine
-#     cache and all — must stay at or below 16 allocs/op. The seed tree
-#     sat at 168; the machine-cache work brought it to 4 (Runner struct +
+#   - sim-run-warm — a whole simulation on a warm shared Scratch, parked
+#     machine and all — must stay at or below 16 allocs/op. The seed tree
+#     sat at 168; the parked-machine work brought it to 4 (Runner struct +
 #     three histogram pre-sizes), so 16 leaves headroom for a legitimate
 #     new per-run allocation or two while catching any slide back toward
 #     per-run graph reconstruction.
