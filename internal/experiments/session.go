@@ -51,14 +51,21 @@ type CheckpointPolicy struct {
 // memoEntry is one singleflight slot: a detached goroutine computes the
 // value and closes done; every caller for the key — including the one
 // that created the entry — blocks on done (or its own context) and
-// shares the result. waiters counts the callers currently blocked; when
-// the last one disconnects before done, the entry's run context is
-// cancelled, aborting the simulation, and the entry leaves the memo so a
-// later request runs fresh.
+// shares the result. The entry's flight tracks who is still waiting.
 type memoEntry[T any] struct {
-	done    chan struct{}
-	val     T
-	err     error
+	done chan struct{}
+	val  T
+	err  error
+	*flight
+}
+
+// flight is the detached run behind one or two memo entries. waiters
+// counts the callers currently blocked on any of them; when the last one
+// disconnects before the run is done, cancel aborts the simulation and
+// its entries leave the memo so a later request runs fresh. A fused
+// trace capture shares one flight between its trace entry and the
+// {bench, PAC, default} simulation entry it also fills.
+type flight struct {
 	waiters int // guarded by the session mutex
 	cancel  context.CancelFunc
 }
@@ -82,7 +89,7 @@ type Session struct {
 	mu      sync.Mutex
 	sims    map[simKey]*memoEntry[*sim.Result]
 	traces  map[string]*memoEntry[[]mem.Request]
-	ran     int // completed simulations and trace captures
+	ran     int // completed simulation runs
 	planned int // total jobs known in advance (set by Precompute)
 	latched bool
 	progFn  func(string)
@@ -202,15 +209,7 @@ func (s *Session) Memoized(bench string, mode coalesce.Mode) bool {
 	s.mu.Lock()
 	e, ok := s.sims[simKey{bench, mode, varDefault}]
 	s.mu.Unlock()
-	if !ok {
-		return false
-	}
-	select {
-	case <-e.done:
-		return e.err == nil
-	default:
-		return false
-	}
+	return ok && e.isDone() && e.err == nil
 }
 
 // Seed installs an already-completed result into the memo — the durable
@@ -231,7 +230,7 @@ func (s *Session) Seed(bench string, mode coalesce.Mode, res *sim.Result) bool {
 	}
 	done := make(chan struct{})
 	close(done)
-	s.sims[k] = &memoEntry[*sim.Result]{done: done, val: res, cancel: func() {}}
+	s.sims[k] = &memoEntry[*sim.Result]{done: done, val: res, flight: &flight{cancel: func() {}}}
 	return true
 }
 
@@ -253,21 +252,14 @@ func (s *Session) resultCtx(ctx context.Context, bench string, mode coalesce.Mod
 		e, hit := s.sims[k]
 		if !hit {
 			runCtx, cancelRun := context.WithCancel(context.Background())
-			e = &memoEntry[*sim.Result]{done: make(chan struct{}), cancel: cancelRun}
+			e = &memoEntry[*sim.Result]{done: make(chan struct{}), flight: &flight{cancel: cancelRun}}
 			s.sims[k] = e
 			s.latchLocked()
 			entry := e
 			go func() {
-				entry.val, entry.err = s.runSim(runCtx, k)
-				if entry.err != nil {
-					// No failure stays memoised: cancellations because a
-					// fresh caller must rerun, and hard failures so the
-					// daemon's job-retry layer gets a real second attempt
-					// instead of the cached error.
-					s.evictSim(k, entry)
-				}
-				close(entry.done)
-				cancelRun()
+				defer cancelRun()
+				entry.val, entry.err = s.runSim(runCtx, k, nil)
+				s.settleSim(k, entry)
 			}()
 		}
 		e.waiters++
@@ -275,36 +267,64 @@ func (s *Session) resultCtx(ctx context.Context, bench string, mode coalesce.Mod
 		s.mu.Unlock()
 		s.noteMemo(hooks, hit, bench, mode.String())
 
-		select {
-		case <-e.done:
-			s.mu.Lock()
-			e.waiters--
-			s.mu.Unlock()
-			// A run aborted by *other* waiters' departure memoises a
-			// cancellation error and leaves the memo; a caller whose
-			// own context is still live retries on a fresh entry.
-			if cancelled(e.err) && ctx.Err() == nil {
-				continue
-			}
-			return e.val, e.err
-		case <-ctx.Done():
-			s.mu.Lock()
-			e.waiters--
-			select {
-			case <-e.done:
-				// Finished while we were leaving: use the result.
-				s.mu.Unlock()
-				return e.val, e.err
-			default:
-			}
-			last := e.waiters == 0
-			s.mu.Unlock()
-			if last {
-				e.cancel()
-			}
-			return nil, fmt.Errorf("experiments: %s abandoned: %w", k, ctx.Err())
+		if res, err, retry := awaitEntry(s, ctx, e, k); !retry {
+			return res, err
 		}
 	}
+}
+
+// awaitEntry blocks one registered waiter on e until the run finishes or
+// ctx expires. retry reports a run aborted by *other* waiters' departure:
+// it memoised a cancellation error and left the memo, so a caller whose
+// own context is still live tries again on a fresh entry. A caller whose
+// context expires first unregisters, and the last waiter of the flight
+// aborts the run; it gets an error naming what wrapping ctx.Err().
+func awaitEntry[T any](s *Session, ctx context.Context, e *memoEntry[T], what fmt.Stringer) (val T, err error, retry bool) {
+	select {
+	case <-e.done:
+		s.mu.Lock()
+		e.waiters--
+		s.mu.Unlock()
+		if cancelled(e.err) && ctx.Err() == nil {
+			return val, nil, true
+		}
+		return e.val, e.err, false
+	case <-ctx.Done():
+		s.mu.Lock()
+		e.waiters--
+		if e.isDone() {
+			// Finished while we were leaving: use the result.
+			s.mu.Unlock()
+			return e.val, e.err, false
+		}
+		last := e.waiters == 0
+		s.mu.Unlock()
+		if last {
+			e.cancel()
+		}
+		return val, fmt.Errorf("experiments: %s abandoned: %w", what, ctx.Err()), false
+	}
+}
+
+// isDone reports whether the entry's run has finished.
+func (e *memoEntry[T]) isDone() bool {
+	select {
+	case <-e.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// settleSim publishes a finished simulation entry. No failure stays
+// memoised: cancellations because a fresh caller must rerun, and hard
+// failures so the daemon's job-retry layer gets a real second attempt
+// instead of the cached error.
+func (s *Session) settleSim(k simKey, e *memoEntry[*sim.Result]) {
+	if e.err != nil {
+		s.evictSim(k, e)
+	}
+	close(e.done)
 }
 
 // evictSim removes a cancelled entry from the memo (unless a newer entry
@@ -317,40 +337,75 @@ func (s *Session) evictSim(k simKey, e *memoEntry[*sim.Result]) {
 	s.mu.Unlock()
 }
 
+// capture collects the LLC request stream of one trace run.
+type capture struct {
+	reqs []mem.Request
+	// alone marks a stand-alone capture: the run exists only for its
+	// stream, so it neither resumes from nor writes checkpoints.
+	alone bool
+	// partial reports a run resumed from a checkpoint: reqs then hold
+	// only the tail of the stream.
+	partial bool
+}
+
+// traceKey labels a trace capture in errors.
+type traceKey string
+
+func (k traceKey) String() string { return "trace " + string(k) }
+
 // runSim executes one simulation to completion. The runner lives and
-// dies on the calling goroutine.
-func (s *Session) runSim(ctx context.Context, k simKey) (*sim.Result, error) {
+// dies on the calling goroutine. A non-nil tr also captures the run's
+// LLC request stream into tr.reqs.
+func (s *Session) runSim(ctx context.Context, k simKey, tr *capture) (*sim.Result, error) {
 	cfg := s.simConfig(k.bench, k.mode, k.v)
 	cfg.Hooks = s.hooks
 	cfg.Scratch = s.scratch.Get()
-	runner, err := s.newRunner(cfg, k)
+	defer s.scratch.Put(cfg.Scratch)
+	var what fmt.Stringer = k
+	cp := s.ckpt
+	if tr != nil {
+		cfg.TraceSink = func(r mem.Request) { tr.reqs = append(tr.reqs, r) }
+		if tr.alone {
+			what, cp = traceKey(k.bench), nil
+		}
+	}
+	runner, resumed, err := s.newRunner(cfg, k, cp)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: %s: %w", k, err)
+		return nil, fmt.Errorf("experiments: %s: %w", what, err)
 	}
 	res, err := runner.RunContext(ctx)
-	s.scratch.Put(cfg.Scratch)
 	if err != nil {
 		// A cancelled run keeps its latest checkpoint: the whole point is
 		// that the next attempt resumes instead of restarting.
-		return nil, fmt.Errorf("experiments: %s: %w", k, err)
+		return nil, fmt.Errorf("experiments: %s: %w", what, err)
 	}
-	if cp := s.ckpt; cp != nil && cp.Drop != nil && k.v == varDefault {
+	if cp != nil && cp.Drop != nil && k.v == varDefault {
 		cp.Drop(k.bench, k.mode)
 	}
-	s.noteDone(fmt.Sprintf("ran %-10s %-9s %-6s cycles=%d", k.bench, k.mode, k.v, res.Cycles))
+	line := fmt.Sprintf("ran %-10s %-9s %-6s cycles=%d", k.bench, k.mode, k.v, res.Cycles)
+	switch {
+	case tr == nil:
+	case tr.alone:
+		line = fmt.Sprintf("traced %-10s requests=%d", k.bench, len(tr.reqs))
+	case resumed:
+		tr.partial = true
+	default:
+		line += fmt.Sprintf(" traced requests=%d", len(tr.reqs))
+	}
+	s.noteDone(line)
 	return res, nil
 }
 
-// newRunner builds the run's sim.Runner, applying the session's
-// checkpoint policy for default-variant keys: arm the checkpoint sink,
+// newRunner builds the run's sim.Runner, applying the checkpoint policy
+// cp (nil for none) to default-variant keys: arm the checkpoint sink,
 // and resume from a stored checkpoint when one restores cleanly. A
 // checkpoint that fails to restore (changed options, corrupt state) is
 // dropped and the run starts fresh — stale recovery state must never
 // block new work.
-func (s *Session) newRunner(cfg sim.Config, k simKey) (*sim.Runner, error) {
-	cp := s.ckpt
+func (s *Session) newRunner(cfg sim.Config, k simKey, cp *CheckpointPolicy) (r *sim.Runner, resumed bool, err error) {
 	if cp == nil || k.v != varDefault {
-		return sim.NewRunner(cfg)
+		r, err = sim.NewRunner(cfg)
+		return r, false, err
 	}
 	if cp.Every > 0 && cp.Sink != nil {
 		bench, mode := k.bench, k.mode
@@ -361,14 +416,15 @@ func (s *Session) newRunner(cfg sim.Config, k simKey) (*sim.Runner, error) {
 		if ck := cp.Load(k.bench, k.mode); ck != nil {
 			if r, err := sim.ResumeFrom(cfg, ck); err == nil {
 				s.noteResumed(k, ck.Now)
-				return r, nil
+				return r, true, nil
 			}
 			if cp.Drop != nil {
 				cp.Drop(k.bench, k.mode)
 			}
 		}
 	}
-	return sim.NewRunner(cfg)
+	r, err = sim.NewRunner(cfg)
+	return r, false, err
 }
 
 // noteResumed emits the resume progress line; serving layers and the
@@ -384,7 +440,8 @@ func (s *Session) noteResumed(k simKey, cycle int64) {
 // trace captures (or recalls) the LLC-level request stream of one
 // benchmark under the PAC configuration; used by the trace analyses of
 // Figures 2, 8 and 9. Traces are memoised with the same singleflight and
-// cancellation discipline as results.
+// cancellation discipline as results, and a capture started before the
+// {bench, PAC, default} result exists also memoises that result.
 func (s *Session) trace(bench string) ([]mem.Request, error) {
 	return s.traceCtx(context.Background(), bench)
 }
@@ -394,78 +451,64 @@ func (s *Session) traceCtx(ctx context.Context, bench string) ([]mem.Request, er
 		s.mu.Lock()
 		e, hit := s.traces[bench]
 		if !hit {
-			runCtx, cancelRun := context.WithCancel(context.Background())
-			e = &memoEntry[[]mem.Request]{done: make(chan struct{}), cancel: cancelRun}
-			s.traces[bench] = e
-			s.latchLocked()
-			entry := e
-			go func() {
-				entry.val, entry.err = s.runTrace(runCtx, bench)
-				if entry.err != nil {
-					// Mirror resultCtx: failed captures leave the memo so a
-					// retry re-runs them.
-					s.mu.Lock()
-					if s.traces[bench] == entry {
-						delete(s.traces, bench)
-					}
-					s.mu.Unlock()
-				}
-				close(entry.done)
-				cancelRun()
-			}()
+			e = s.startTraceLocked(bench)
 		}
 		e.waiters++
 		hooks := s.hooks
 		s.mu.Unlock()
 		s.noteMemo(hooks, hit, "trace:"+bench, "")
 
-		select {
-		case <-e.done:
-			s.mu.Lock()
-			e.waiters--
-			s.mu.Unlock()
-			if cancelled(e.err) && ctx.Err() == nil {
-				continue
-			}
-			return e.val, e.err
-		case <-ctx.Done():
-			s.mu.Lock()
-			e.waiters--
-			select {
-			case <-e.done:
-				s.mu.Unlock()
-				return e.val, e.err
-			default:
-			}
-			last := e.waiters == 0
-			s.mu.Unlock()
-			if last {
-				e.cancel()
-			}
-			return nil, fmt.Errorf("experiments: trace %s abandoned: %w", bench, ctx.Err())
+		if reqs, err, retry := awaitEntry(s, ctx, e, traceKey(bench)); !retry {
+			return reqs, err
 		}
 	}
 }
 
-// runTrace executes one trace-capturing simulation on the calling
-// goroutine.
-func (s *Session) runTrace(ctx context.Context, bench string) ([]mem.Request, error) {
-	var reqs []mem.Request
-	cfg := s.simConfig(bench, coalesce.ModePAC, varDefault)
-	cfg.TraceSink = func(r mem.Request) { reqs = append(reqs, r) }
-	cfg.Hooks = s.hooks
-	cfg.Scratch = s.scratch.Get()
-	runner, err := sim.NewRunner(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: trace %s: %w", bench, err)
+// startTraceLocked creates bench's trace entry and launches its capture.
+// The trace is the request stream of the {bench, PAC, default}
+// simulation, so when that simulation has no memo entry yet the capture
+// is that simulation: one run attaches the sink and fills both entries,
+// which share a flight. A stand-alone capture runs only as a fallback:
+// when the result is already memoised or in flight, or when the fused
+// run resumed from a checkpoint and so saw only the tail of the stream.
+func (s *Session) startTraceLocked(bench string) *memoEntry[[]mem.Request] {
+	s.latchLocked()
+	runCtx, cancelRun := context.WithCancel(context.Background())
+	f := &flight{cancel: cancelRun}
+	e := &memoEntry[[]mem.Request]{done: make(chan struct{}), flight: f}
+	s.traces[bench] = e
+	k := simKey{bench, coalesce.ModePAC, varDefault}
+	var res *memoEntry[*sim.Result]
+	if _, ok := s.sims[k]; !ok {
+		res = &memoEntry[*sim.Result]{done: make(chan struct{}), flight: f}
+		s.sims[k] = res
 	}
-	_, err = runner.RunContext(ctx)
-	s.scratch.Put(cfg.Scratch)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: trace %s: %w", bench, err)
-	}
-	s.noteDone(fmt.Sprintf("traced %-10s requests=%d", bench, len(reqs)))
-	return reqs, nil
+	go func() {
+		defer cancelRun()
+		var fused capture
+		if res != nil {
+			res.val, res.err = s.runSim(runCtx, k, &fused)
+			s.settleSim(k, res)
+			e.val, e.err = fused.reqs, res.err
+		}
+		if res == nil || (res.err == nil && fused.partial) {
+			alone := capture{alone: true}
+			_, e.err = s.runSim(runCtx, k, &alone)
+			e.val = alone.reqs
+		}
+		if e.err != nil {
+			// Mirror settleSim: failed captures leave the memo so a
+			// retry re-runs them.
+			e.val = nil
+			s.mu.Lock()
+			if s.traces[bench] == e {
+				delete(s.traces, bench)
+			}
+			s.mu.Unlock()
+		}
+		close(e.done)
+	}()
+	return e
 }
 
 // simConfig builds the simulator configuration for one run.
@@ -602,6 +645,7 @@ func (s *Session) Precompute(ctx context.Context, workers int, ids ...string) er
 		}
 		fresh = append(fresh, j)
 	}
+	fresh = fuseTraces(fresh)
 	s.planned = s.ran + len(fresh)
 	s.latchLocked()
 	s.mu.Unlock()
@@ -662,8 +706,34 @@ feed:
 	return firstErr
 }
 
-// Completed returns how many simulations and trace captures the session
-// has executed (memo hits excluded).
+// fuseTraces folds each {bench, PAC, default} simulation job into the
+// trace capture of the same benchmark when both are wanted: the capture
+// runs that simulation and memoises its result too. The fused job takes
+// the earlier of the two positions; job order only shapes scheduling.
+func fuseTraces(jobs []need) []need {
+	traced := make(map[string]bool)
+	for _, j := range jobs {
+		if j.trace {
+			traced[j.bench] = true
+		}
+	}
+	seen := make(map[need]bool, len(jobs))
+	out := jobs[:0]
+	for _, j := range jobs {
+		if !j.trace && j.mode == coalesce.ModePAC && j.v == varDefault && traced[j.bench] {
+			j = traceNeed(j.bench)
+		}
+		if !seen[j] {
+			seen[j] = true
+			out = append(out, j)
+		}
+	}
+	return out
+}
+
+// Completed returns how many simulation runs the session has executed
+// (memo hits excluded); a trace capture fused into its PAC simulation is
+// one run.
 func (s *Session) Completed() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -339,6 +339,12 @@ func newJobManager(workers, depth int, jobTimeout time.Duration, retain, maxRetr
 // after drain started. payload is the canonical request body journaled
 // to the WAL (and surfaced on orphaned-job views); nil is fine for
 // unjournaled managers. meta tags the job for pprof attribution.
+//
+// The submit record is written (and synced) before the job is queued,
+// outside m.mu: an idle worker can pick the job up the instant it is
+// queued and journal its run and done, and those records only retire a
+// job whose submit precedes them. A job that cannot then be queued is
+// retired with a cancel record.
 func (m *jobManager) submit(kind string, payload []byte, meta jobMeta, run func(ctx context.Context) (any, error)) (*Job, error) {
 	m.mu.Lock()
 	if !m.accepting {
@@ -352,6 +358,7 @@ func (m *jobManager) submit(kind string, payload []byte, meta jobMeta, run func(
 	if m.node != "" {
 		id = m.node + "-" + id
 	}
+	m.mu.Unlock()
 	j := &Job{
 		id:           id,
 		kind:         kind,
@@ -364,25 +371,32 @@ func (m *jobManager) submit(kind string, payload []byte, meta jobMeta, run func(
 		clientCancel: make(chan struct{}),
 		created:      time.Now(),
 	}
-	select {
-	case m.queue <- j:
-	default:
-		m.nextID-- // reuse the ID; the job never existed
-		m.mu.Unlock()
-		m.reg.Counter("pac_jobs_rejected_total", "Jobs rejected with 429 on a full queue.").Inc()
-		return nil, errBusy
-	}
 	if m.wal != nil {
 		if err := m.wal.Submit(id, kind, payload); err != nil {
-			// The job is already on the queue; poison it so the worker
-			// skips it on pickup, and refuse the submission — a job the
-			// journal cannot make durable is never acknowledged.
-			m.mu.Unlock()
-			j.finish(StatusFailed, nil, err)
+			// A job the journal cannot make durable is never
+			// acknowledged.
 			m.reg.Counter("pac_wal_journal_errors_total",
 				"WAL appends that failed.").Inc()
 			return nil, fmt.Errorf("server: journaling job: %w", err)
 		}
+	}
+	m.mu.Lock()
+	err := errDraining
+	if m.accepting {
+		select {
+		case m.queue <- j:
+			err = nil
+		default:
+			err = errBusy
+		}
+	}
+	if err != nil {
+		m.mu.Unlock()
+		m.journal(m.wal.Cancel, id)
+		if err == errBusy {
+			m.reg.Counter("pac_jobs_rejected_total", "Jobs rejected with 429 on a full queue.").Inc()
+		}
+		return nil, err
 	}
 	m.jobs[j.id] = j
 	m.order = append(m.order, j.id)

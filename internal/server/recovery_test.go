@@ -51,6 +51,66 @@ func TestWALCompletedJobNotReplayed(t *testing.T) {
 	}
 }
 
+// TestWALSubmitPrecedesLifecycle submits a burst of memo-hit jobs to an
+// idle worker, which finishes each as soon as it is queued. The journal
+// must still hold every job's submit before its run and done — records
+// for an unknown ID are ignored, so an inversion would leave the finished
+// job live and replay it at the next boot.
+func TestWALSubmitPrecedesLifecycle(t *testing.T) {
+	dir := t.TempDir()
+	reg := telemetry.NewRegistry()
+	w, _ := openTestWAL(t, dir, reg)
+	srv := newTestServer(t, func(c *Config) {
+		c.Registry = reg
+		c.WAL = w
+		c.Concurrency = 1
+		c.QueueDepth = 128
+	})
+	req := SimulateRequest{Benchmark: "STREAM", Mode: "pac"}
+	simulateOK(t, srv, req) // memoise: every later job is a memo hit
+
+	const burst = 64
+	ids := make([]string, 0, burst)
+	for i := 0; i < burst; i++ {
+		code, _, job := do(t, srv.Handler(), "POST", "/v1/simulate", req)
+		if code != http.StatusAccepted && code != http.StatusOK {
+			t.Fatalf("submit %d = %d %v", i, code, job)
+		}
+		ids = append(ids, job["id"].(string))
+	}
+	for _, id := range ids {
+		if job := waitForStatus(t, srv.Handler(), id, ""); job["status"] != string(StatusDone) {
+			t.Fatalf("job %s ended %v", id, job["status"])
+		}
+	}
+	// Read the journal before Close, which compacts it down to the live
+	// jobs.
+	blob, err := os.ReadFile(filepath.Join(dir, "jobs.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[string][]string)
+	for _, line := range strings.Split(strings.TrimSpace(string(blob)), "\n") {
+		rec, ok := wal.ParseRecord(line)
+		if !ok {
+			t.Fatalf("unparseable journal line %q", line)
+		}
+		seen[rec.ID] = append(seen[rec.ID], rec.Op)
+	}
+	want := []string{wal.OpSubmit, wal.OpRun, wal.OpDone}
+	for _, id := range ids {
+		if !reflect.DeepEqual(seen[id], want) {
+			t.Errorf("job %s journaled %v, want %v", id, seen[id], want)
+		}
+	}
+	if _, recovered := openTestWAL(t, dir, telemetry.NewRegistry()); len(recovered) != 0 {
+		t.Errorf("reopen recovered %d jobs, want 0: %+v", len(recovered), recovered)
+	}
+}
+
 // TestWALReplayReenqueuesUnfinished: a journaled job with no terminal
 // record (the crash shape) is re-enqueued at boot under its original ID,
 // flagged recovered, and runs to completion.

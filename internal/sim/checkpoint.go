@@ -290,11 +290,9 @@ func (r *Runner) restore(ck *Checkpoint) error {
 		// (the k-th Next for a core yields the same access regardless of
 		// other cores' calls) makes per-core fast-forward exact. A
 		// resumed run can never capture a complete trace — the early
-		// accesses were issued before the crash — so recording is
-		// abandoned for this machine instance.
+		// accesses were issued before the crash — so this run records
+		// nothing; the next reuse starts over on the same tapes.
 		m.recording = false
-		m.trace = nil
-		m.traceLen = 0
 		for i := range r.cores {
 			c := &r.cores[i]
 			for k := 0; k < c.issued; k++ {

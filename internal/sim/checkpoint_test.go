@@ -180,7 +180,8 @@ func TestCheckpointResumeWarmScratch(t *testing.T) {
 	sc := NewScratch()
 	warm := cfg
 	warm.Scratch = sc
-	run(t, warm) // park a traced machine
+	run(t, warm) // park a machine
+	run(t, warm) // reuse it once, which records the streams
 
 	got := resumeRun(t, warm, ck)
 	assertSameResult(t, "warm-scratch", got, base)

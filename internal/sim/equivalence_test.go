@@ -141,8 +141,9 @@ func TestSpecializedDriverSelected(t *testing.T) {
 // event kernel and the reference stepper, so a parked machine crosses
 // drivers — and every warm Result must be byte-identical to the cold
 // first run (modulo SkippedCycles, which is driver accounting). The first
-// warm run resets a parked machine; the second replays the recorded
-// trace; both paths are covered for every mode.
+// run builds the machine cold, the second resets it and records the
+// access streams, the third and fourth replay the recording; every path
+// is covered for every mode.
 func TestWarmScratchByteIdentity(t *testing.T) {
 	for _, mode := range allModes {
 		mode := mode

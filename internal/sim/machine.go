@@ -17,9 +17,9 @@ import (
 
 // traceBudget caps the total number of workload accesses a machine may
 // record for replay (16 bytes each, so the cap bounds the trace cache at
-// 16 MiB per Scratch). A machine whose recording would exceed the budget
-// abandons it and rebuilds its generators on every reuse instead; the
-// budget bounds memory only, never results.
+// 16 MiB per Scratch). A machine whose streams exceed the budget never
+// records and rebuilds its generators on every reuse instead; the budget
+// bounds memory only, never results.
 const traceBudget = 1 << 20
 
 // machine is the constructed component graph of one simulation
@@ -55,22 +55,24 @@ type machine struct {
 	// safe.
 	benchNames []string
 
-	// Record-replay trace cache: the machine's first run records each
-	// core's access stream (trace[coreIdx]); once a completed run has
-	// captured every stream in full, later runs replay by index instead
-	// of re-running the generators — which also removes generator
-	// reconstruction from reset. recording is live until the first
-	// complete capture; a run that would blow traceBudget abandons
-	// recording for the machine's lifetime.
+	// Record-replay trace cache. A cold build records nothing: most
+	// machines are never taken back, and their tapes would be pure
+	// garbage. The first reuse (reset) starts recording each core's
+	// access stream into trace[coreIdx], pre-sized to AccessesPerCore;
+	// once a completed run has captured every stream in full, later runs
+	// replay by index instead of re-running the generators — which also
+	// removes generator reconstruction from reset. tapeFits marks a
+	// machine whose streams fit traceBudget (the build pre-check);
+	// recording is live from reset until the first complete capture.
 	trace     [][]workload.Access
-	traceLen  int
+	tapeFits  bool
 	traceOK   bool
 	recording bool
 
-	// traceSkipped marks a machine whose record-replay was abandoned for
-	// exceeding traceBudget (at build pre-check or mid-recording);
-	// traceSkipNoted latches after the first terminal telemetry event has
-	// counted it, so each machine reports the degradation exactly once.
+	// traceSkipped marks a machine whose record-replay was skipped for
+	// exceeding traceBudget at the build pre-check; traceSkipNoted
+	// latches after the first terminal telemetry event has counted it,
+	// so each machine reports the degradation exactly once.
 	traceSkipped   bool
 	traceSkipNoted bool
 
@@ -134,8 +136,7 @@ func buildGenerators(cfg *Config) ([]workload.Generator, error) {
 // Reusable buffers come from scratch; the machine then owns them until it
 // is discarded (a parked machine keeps them across runs). shared reports
 // whether the Scratch is caller-supplied: only then can a parked machine
-// ever be taken back, so only then is the run worth the per-access cost
-// of recording a replay trace.
+// ever be taken back, so only then does the budget pre-check matter.
 func buildMachine(cfg Config, scratch *Scratch, shared bool) (*machine, error) {
 	// The stored config exists to rebuild generators and to answer
 	// machineReusable; holding the first run's hooks, sinks or Scratch
@@ -217,8 +218,7 @@ func buildMachine(cfg Config, scratch *Scratch, shared bool) (*machine, error) {
 	m.cacheable = callerGens == nil && !cfg.Faults.Enabled()
 	if m.cacheable && shared {
 		if total := int64(len(m.cores)) * int64(cfg.AccessesPerCore); total <= traceBudget {
-			m.recording = true
-			m.trace = make([][]workload.Access, len(m.cores))
+			m.tapeFits = true
 		} else {
 			// No silent caps: warm reuse of this machine will re-run the
 			// generators every time instead of replaying. Say so once.
@@ -235,7 +235,8 @@ func buildMachine(cfg Config, scratch *Scratch, shared bool) (*machine, error) {
 // their grown storage; the ID counter rewinds; core state is rebuilt in
 // place reusing its buffers. With a complete trace recording the workload
 // generators are not needed at all; without one they are rebuilt (the
-// previous run consumed them and generators have no rewind operation).
+// previous run consumed them and generators have no rewind operation)
+// and, within budget, the coming run records its streams.
 func (m *machine) reset() error {
 	m.nextID = 0
 	m.hier.Reset()
@@ -270,22 +271,37 @@ func (m *machine) reset() error {
 		return fmt.Errorf("sim: rebuilding generators for cached machine: %w", err)
 	}
 	m.gens = gens
-	if m.recording {
-		// The previous recording was cut short (aborted run, though
-		// aborted runs are not parked today); start over cleanly.
-		for i := range m.trace {
-			m.trace[i] = m.trace[i][:0]
-		}
-		m.traceLen = 0
+	if m.tapeFits {
+		m.startRecording()
 	}
 	return nil
 }
 
+// startRecording arms a capture of every core's stream. The tapes share
+// one backing array, each capped at AccessesPerCore, so recording never
+// grows a slice; a capture that was cut short (a resumed run) is rewound
+// and its storage reused.
+func (m *machine) startRecording() {
+	n := m.cfg.AccessesPerCore
+	if m.trace == nil {
+		buf := make([]workload.Access, len(m.cores)*n)
+		m.trace = make([][]workload.Access, len(m.cores))
+		for i := range m.trace {
+			m.trace[i] = buf[i*n : i*n : (i+1)*n]
+		}
+	}
+	for i := range m.trace {
+		m.trace[i] = m.trace[i][:0]
+	}
+	m.recording = true
+}
+
 // nextAccess yields core coreIdx's next trace access: replayed from the
-// machine's recorded trace when complete, generated (and recorded)
-// otherwise. The caller's c.issued is the per-core stream position —
-// every core calls this exactly AccessesPerCore times in a completed run,
-// in issue order, which is what makes index replay exact.
+// machine's recorded trace when complete, generated (and, on a reused
+// machine, recorded) otherwise. The caller's c.issued is the per-core
+// stream position — every core calls this exactly AccessesPerCore times
+// in a completed run, in issue order, which is what makes index replay
+// exact.
 func (r *Runner) nextAccess(c *coreState, coreIdx int) workload.Access {
 	m := r.m
 	if m.traceOK {
@@ -293,22 +309,7 @@ func (r *Runner) nextAccess(c *coreState, coreIdx int) workload.Access {
 	}
 	a := m.gens[c.proc].Next(c.localIdx)
 	if m.recording {
-		if m.traceLen >= traceBudget {
-			// Over budget (possible only when a smaller config grew into
-			// this machine's slot — buildMachine pre-checks the total):
-			// drop the partial capture for good, and say so (no silent
-			// caps — warm runs degrade to generator re-runs from here).
-			m.recording = false
-			m.trace = nil
-			m.traceLen = 0
-			m.traceSkipped = true
-			m.traceSkipNoted = false
-			log.Printf("sim: workload record-replay abandoned mid-run for %s: recording exceeded budget %d; warm runs re-generate",
-				strings.Join(m.benchNames, "+"), traceBudget)
-		} else {
-			m.trace[coreIdx] = append(m.trace[coreIdx], a)
-			m.traceLen++
-		}
+		m.trace[coreIdx] = append(m.trace[coreIdx], a)
 	}
 	return a
 }

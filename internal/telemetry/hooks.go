@@ -88,7 +88,7 @@ type Event struct {
 	// faulted and caller-generator runs).
 	MachineWarm bool
 	// ReplaySkips is 1 on the first terminal event after a machine's
-	// workload record-replay was abandoned for exceeding the recording
+	// workload record-replay was skipped for exceeding the recording
 	// budget (the cache silently degrading to generator re-runs is a
 	// capped behaviour, and caps are never silent).
 	ReplaySkips int64
