@@ -5,7 +5,7 @@ GO ?= go
 
 .PHONY: all build test test-short test-race smoke serve smoke-serve \
         smoke-cluster smoke-store smoke-recovery bench-cluster chaos \
-        vet fmt bench bench-kernel bench-alloc test-alloc figures \
+        vet fmt bench bench-alloc test-alloc figures \
         figures-quick examples fuzz fuzz-smoke verify clean
 
 all: vet test build
@@ -85,12 +85,6 @@ fmt:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Event-kernel baseline: figure benches plus the event-vs-reference
-# driver comparison, distilled into BENCH_kernel.json (ns/op, skipped-
-# cycle ratios, per-mode speedups).
-bench-kernel:
-	scripts/bench_baseline.sh
-
 # Allocation baseline: the BenchmarkAllocs suite distilled into
 # BENCH_alloc.json (ns/op, B/op, allocs/op). Fails if any steady-state
 # path regressed from 0 allocs/op.
@@ -120,20 +114,23 @@ examples:
 	$(GO) run ./examples/prefetchdemo
 
 # Short fuzzing passes over the binary-format parser, the coalescing
-# pipeline, the gateway's consistent-hash ring, and the two durability
-# journal parsers (job WAL, store index).
+# pipeline, the event kernel against the reference stepper on random
+# configurations, the gateway's consistent-hash ring, and the two
+# durability journal parsers (job WAL, store index).
 fuzz:
 	$(GO) test ./internal/trace/ -fuzz FuzzRead -fuzztime 30s
 	$(GO) test ./internal/core/ -fuzz FuzzPipeline -fuzztime 30s
+	$(GO) test ./internal/sim/ -fuzz FuzzKernelEquivalence -fuzztime 30s
 	$(GO) test ./internal/gateway/ -fuzz FuzzRing -fuzztime 30s
 	$(GO) test ./internal/wal/ -fuzz FuzzRecord -fuzztime 30s
 	$(GO) test ./internal/store/ -fuzz FuzzJournal -fuzztime 30s
 
-# The CI-sized fuzz pass: ~30s total across every target, on top of the
+# The CI-sized fuzz pass: ~35s total across every target, on top of the
 # always-on seed-corpus replay in the regular test run.
 fuzz-smoke:
 	$(GO) test ./internal/trace/ -fuzz FuzzRead -fuzztime 5s
 	$(GO) test ./internal/core/ -fuzz FuzzPipeline -fuzztime 5s
+	$(GO) test ./internal/sim/ -fuzz FuzzKernelEquivalence -fuzztime 5s
 	$(GO) test ./internal/gateway/ -fuzz FuzzRing -fuzztime 5s
 	$(GO) test ./internal/wal/ -fuzz FuzzRecord -fuzztime 5s
 	$(GO) test ./internal/store/ -fuzz FuzzJournal -fuzztime 5s

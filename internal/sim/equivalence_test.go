@@ -108,34 +108,6 @@ func TestKernelSkipsIdleCycles(t *testing.T) {
 	}
 }
 
-// TestSpecializedDriverSelected pins that every known mode actually
-// reaches its monomorphic driver: the selection in runEvents keys on the
-// concrete pipeline type, so a construction change that quietly demoted a
-// mode to the generic interface driver would pass every equivalence test
-// while losing the speedup this package exists for.
-func TestSpecializedDriverSelected(t *testing.T) {
-	for _, mode := range allModes {
-		r, err := NewRunner(smallConfig("GS", mode))
-		if err != nil {
-			t.Fatalf("%v: NewRunner: %v", mode, err)
-		}
-		specialized := false
-		switch mode {
-		case coalesce.ModeNone, coalesce.ModeDMC:
-			_, specialized = r.pipe.(*coalesce.Passthrough)
-		case coalesce.ModePAC:
-			specialized = r.pac != nil
-		case coalesce.ModeSortNet:
-			_, specialized = r.pipe.(*coalesce.SortingCoalescer)
-		case coalesce.ModeRowBuf:
-			_, specialized = r.pipe.(*coalesce.RowBufferCoalescer)
-		}
-		if !specialized {
-			t.Errorf("%v: pipeline is %T; runEvents would fall back to the generic driver", mode, r.pipe)
-		}
-	}
-}
-
 // TestWarmScratchByteIdentity proves machine reuse never leaks state: a
 // shared Scratch runs the same configuration repeatedly — alternating the
 // event kernel and the reference stepper, so a parked machine crosses

@@ -4,19 +4,21 @@ package sim
 
 import (
 	"context"
+	"fmt"
 
 	"github.com/pacsim/pac/internal/coalesce"
 	"github.com/pacsim/pac/internal/engine"
 	"github.com/pacsim/pac/internal/mem"
 )
 
-// runEvents selects the event driver: each known mode dispatches to its
-// monomorphic specialization from events_gen.go, where every
-// NextWake/Tick/Pop on the pipeline, device, MSHR file and fault injector
-// is a direct call and the mode-dependent branches are folded away.
-// Anything else — an unknown Mode value, a pipeline type the generator
-// does not know — falls back to the interface-based generic driver, which
-// is also the second differential oracle next to runReference.
+// runEvents runs the event kernel: each mode dispatches to its
+// monomorphic driver from events_gen.go, where every NextWake/Tick/Pop on
+// the pipeline, device, MSHR file and fault injector is a direct call and
+// the mode-dependent branches are folded away. runReference is the only
+// other driver and serves as the differential oracle. Config.normalize
+// rejects modes outside the five, and buildMachine pairs each mode with
+// the pipeline type its driver expects, so the error return is
+// unreachable; it guards a construction change that breaks that pairing.
 func (r *Runner) runEvents(ctx context.Context) error {
 	switch r.cfg.Mode {
 	case coalesce.ModeNone:
@@ -40,7 +42,7 @@ func (r *Runner) runEvents(ctx context.Context) error {
 			return r.runEventsRowBuf(ctx, p)
 		}
 	}
-	return r.runEventsGeneric(ctx)
+	return fmt.Errorf("sim: no event driver for mode %v with pipeline %T", r.cfg.Mode, r.pipe)
 }
 
 // assertConcrete pins at compile time that the types the generated
@@ -70,14 +72,29 @@ func (r *Runner) headProbe(pkt mem.Coalesced) (ok bool, cmp, fails int64) {
 	return r.probeOK, r.probeCmp, r.probeFails
 }
 
+// coresWake reports the earliest cycle at which any core can act. The
+// event drivers call it once to seed r.coreWake and from then on keep the
+// minimum current inside their step loops.
+func (r *Runner) coresWake(now int64) int64 {
+	wake := engine.Never
+	for i := range r.cores {
+		if w := r.coreWakeOf(&r.cores[i], now); w < wake {
+			if w <= now+1 {
+				return w
+			}
+			wake = w
+		}
+	}
+	return wake
+}
+
 // coreWakeOf reports the earliest cycle at which one core can act — the
-// per-core term of coresWake, shared between the generic driver's wake
-// function and the specialized loops, which fuse it into the issue loop
-// so the whole-machine minimum is a field read by the time the scheduler
-// needs it. Cores with parked or stalled work that is retried every cycle
-// pin the wake to now+1; a core blocked on its outstanding-load budget
-// sleeps — only a device completion can free a slot, and the device's own
-// wake covers that cycle.
+// per-core term of coresWake, which the event drivers fuse into their
+// issue loops so the whole-machine minimum is a field read by the time
+// the scheduler needs it. Cores with parked or stalled work that is
+// retried every cycle pin the wake to now+1; a core blocked on its
+// outstanding-load budget sleeps — only a device completion can free a
+// slot, and the device's own wake covers that cycle.
 func (r *Runner) coreWakeOf(c *coreState, now int64) int64 {
 	switch {
 	case c.parked() > 0:

@@ -1,17 +1,25 @@
 // Code generated by gen_events.go; DO NOT EDIT.
 
-// events_gen.go holds the five monomorphic event-kernel drivers, one per
-// coalesce.Mode. Each is the interface-based driver chain (runEvents /
-// nextEvent / step / dispatch / skipTo / issueCore / issueAccess / route /
-// enqueue / admit) specialized to its concrete pipeline type, with the
-// mode-dependent branches (MergesInMSHR, the DMC arrival probe, the PAC
-// network-controller bypass) folded to constants. The scheduler's min-wake
-// loop is inlined as nextEvent<Mode>, with the per-core wake fused into
-// step<Mode>'s issue loop — see DESIGN.md §12.
+// events_gen.go holds the event kernel: one monomorphic driver per
+// coalesce.Mode. Each copies the Runner's step chain (step / dispatch /
+// issueCore / issueAccess / route / directAdmit / enqueue / admit, which
+// runReference runs through the Pipeline interface) specialized to its
+// concrete pipeline type, with the mode-dependent branches (MergesInMSHR,
+// the DMC arrival probe, the PAC network-controller bypass) folded to
+// constants, and adds the event pieces: the min-wake scheduler
+// nextEvent<Mode>, dispatchWake<Mode> and skipTo<Mode>. The per-core
+// wake is fused into step<Mode>'s issue loop — see DESIGN.md §12.
 //
-// Every specialization must stay byte-identical to runReference and to
-// the generic fallback; the equivalence suite enforces this per benchmark
-// × mode, with and without fault injection.
+// A packet held back at the head of a full MSHR file with no merge
+// target sleeps in dispatchWake (only a completion can change that), and
+// skipTo reconstructs in closed form what the reference stepper records
+// per skipped cycle: one failed retry per core stalled on its
+// outstanding-load budget, and one merge comparison for that head
+// packet. nextEvent guarantees no other state changes across the skip.
+//
+// Every driver must stay byte-identical to runReference; the equivalence
+// suite enforces this per benchmark × mode, with and without fault
+// injection, and over random configurations.
 package sim
 
 import (
@@ -75,10 +83,9 @@ func (r *Runner) finishedNone(pipe *coalesce.Passthrough) bool {
 	return true
 }
 
-// nextEventNone is the engine.Scheduler min-wake loop specialized
-// to this mode's component set. The prefetcher never self-schedules
-// (NextWake ≡ Never), so it drops out; the per-core minimum was fused
-// into stepNone and arrives precomputed in r.coreWake.
+// nextEventNone is the min-wake scheduler: the earliest NextWake
+// over this mode's components, clamped below at now+1. The prefetcher
+// never self-schedules, and the per-core minimum arrives in r.coreWake.
 func (r *Runner) nextEventNone(pipe *coalesce.Passthrough) int64 {
 	now := r.now
 	next := r.coreWake
@@ -114,9 +121,8 @@ func (r *Runner) nextEventNone(pipe *coalesce.Passthrough) int64 {
 	return next
 }
 
-// dispatchWakeNone mirrors Runner.dispatchWake, peeking at the
-// head packet instead of a Pop/PushFront round trip and memoizing the
-// ProbeMerge verdict on (MSHR generation, packet ID).
+// dispatchWakeNone reports when the MSHR intake can act: a packet
+// waits and a free MSHR or a merge target (per headProbe) exists.
 func (r *Runner) dispatchWakeNone(pipe *coalesce.Passthrough, now int64) int64 {
 	if pipe.OutLen() == 0 {
 		return engine.Never
@@ -127,7 +133,8 @@ func (r *Runner) dispatchWakeNone(pipe *coalesce.Passthrough, now int64) int64 {
 	return engine.Never
 }
 
-// skipToNone mirrors Runner.skipTo.
+// skipToNone advances the clock to t without stepping, adding the
+// stall and merge-comparison counts the reference stepper would record.
 func (r *Runner) skipToNone(pipe *coalesce.Passthrough, t int64) {
 	k := t - r.now
 	if k <= 0 {
@@ -387,10 +394,9 @@ func (r *Runner) finishedDMC(pipe *coalesce.Passthrough) bool {
 	return true
 }
 
-// nextEventDMC is the engine.Scheduler min-wake loop specialized
-// to this mode's component set. The prefetcher never self-schedules
-// (NextWake ≡ Never), so it drops out; the per-core minimum was fused
-// into stepDMC and arrives precomputed in r.coreWake.
+// nextEventDMC is the min-wake scheduler: the earliest NextWake
+// over this mode's components, clamped below at now+1. The prefetcher
+// never self-schedules, and the per-core minimum arrives in r.coreWake.
 func (r *Runner) nextEventDMC(pipe *coalesce.Passthrough) int64 {
 	now := r.now
 	next := r.coreWake
@@ -426,9 +432,8 @@ func (r *Runner) nextEventDMC(pipe *coalesce.Passthrough) int64 {
 	return next
 }
 
-// dispatchWakeDMC mirrors Runner.dispatchWake, peeking at the
-// head packet instead of a Pop/PushFront round trip and memoizing the
-// ProbeMerge verdict on (MSHR generation, packet ID).
+// dispatchWakeDMC reports when the MSHR intake can act: a packet
+// waits and a free MSHR or a merge target (per headProbe) exists.
 func (r *Runner) dispatchWakeDMC(pipe *coalesce.Passthrough, now int64) int64 {
 	if pipe.OutLen() == 0 {
 		return engine.Never
@@ -444,7 +449,8 @@ func (r *Runner) dispatchWakeDMC(pipe *coalesce.Passthrough, now int64) int64 {
 	return engine.Never
 }
 
-// skipToDMC mirrors Runner.skipTo.
+// skipToDMC advances the clock to t without stepping, adding the
+// stall and merge-comparison counts the reference stepper would record.
 func (r *Runner) skipToDMC(pipe *coalesce.Passthrough, t int64) {
 	k := t - r.now
 	if k <= 0 {
@@ -729,10 +735,9 @@ func (r *Runner) finishedPAC(pipe *core.PAC) bool {
 	return true
 }
 
-// nextEventPAC is the engine.Scheduler min-wake loop specialized
-// to this mode's component set. The prefetcher never self-schedules
-// (NextWake ≡ Never), so it drops out; the per-core minimum was fused
-// into stepPAC and arrives precomputed in r.coreWake.
+// nextEventPAC is the min-wake scheduler: the earliest NextWake
+// over this mode's components, clamped below at now+1. The prefetcher
+// never self-schedules, and the per-core minimum arrives in r.coreWake.
 func (r *Runner) nextEventPAC(pipe *core.PAC) int64 {
 	now := r.now
 	next := r.coreWake
@@ -768,9 +773,8 @@ func (r *Runner) nextEventPAC(pipe *core.PAC) int64 {
 	return next
 }
 
-// dispatchWakePAC mirrors Runner.dispatchWake, peeking at the
-// head packet instead of a Pop/PushFront round trip and memoizing the
-// ProbeMerge verdict on (MSHR generation, packet ID).
+// dispatchWakePAC reports when the MSHR intake can act: a packet
+// waits and a free MSHR or a merge target (per headProbe) exists.
 func (r *Runner) dispatchWakePAC(pipe *core.PAC, now int64) int64 {
 	if pipe.MAQLen() == 0 {
 		return engine.Never
@@ -786,7 +790,8 @@ func (r *Runner) dispatchWakePAC(pipe *core.PAC, now int64) int64 {
 	return engine.Never
 }
 
-// skipToPAC mirrors Runner.skipTo.
+// skipToPAC advances the clock to t without stepping, adding the
+// stall and merge-comparison counts the reference stepper would record.
 func (r *Runner) skipToPAC(pipe *core.PAC, t int64) {
 	k := t - r.now
 	if k <= 0 {
@@ -1058,10 +1063,9 @@ func (r *Runner) finishedSortNet(pipe *coalesce.SortingCoalescer) bool {
 	return true
 }
 
-// nextEventSortNet is the engine.Scheduler min-wake loop specialized
-// to this mode's component set. The prefetcher never self-schedules
-// (NextWake ≡ Never), so it drops out; the per-core minimum was fused
-// into stepSortNet and arrives precomputed in r.coreWake.
+// nextEventSortNet is the min-wake scheduler: the earliest NextWake
+// over this mode's components, clamped below at now+1. The prefetcher
+// never self-schedules, and the per-core minimum arrives in r.coreWake.
 func (r *Runner) nextEventSortNet(pipe *coalesce.SortingCoalescer) int64 {
 	now := r.now
 	next := r.coreWake
@@ -1097,9 +1101,8 @@ func (r *Runner) nextEventSortNet(pipe *coalesce.SortingCoalescer) int64 {
 	return next
 }
 
-// dispatchWakeSortNet mirrors Runner.dispatchWake, peeking at the
-// head packet instead of a Pop/PushFront round trip and memoizing the
-// ProbeMerge verdict on (MSHR generation, packet ID).
+// dispatchWakeSortNet reports when the MSHR intake can act: a packet
+// waits and a free MSHR or a merge target (per headProbe) exists.
 func (r *Runner) dispatchWakeSortNet(pipe *coalesce.SortingCoalescer, now int64) int64 {
 	if pipe.OutLen() == 0 {
 		return engine.Never
@@ -1115,7 +1118,8 @@ func (r *Runner) dispatchWakeSortNet(pipe *coalesce.SortingCoalescer, now int64)
 	return engine.Never
 }
 
-// skipToSortNet mirrors Runner.skipTo.
+// skipToSortNet advances the clock to t without stepping, adding the
+// stall and merge-comparison counts the reference stepper would record.
 func (r *Runner) skipToSortNet(pipe *coalesce.SortingCoalescer, t int64) {
 	k := t - r.now
 	if k <= 0 {
@@ -1385,10 +1389,9 @@ func (r *Runner) finishedRowBuf(pipe *coalesce.RowBufferCoalescer) bool {
 	return true
 }
 
-// nextEventRowBuf is the engine.Scheduler min-wake loop specialized
-// to this mode's component set. The prefetcher never self-schedules
-// (NextWake ≡ Never), so it drops out; the per-core minimum was fused
-// into stepRowBuf and arrives precomputed in r.coreWake.
+// nextEventRowBuf is the min-wake scheduler: the earliest NextWake
+// over this mode's components, clamped below at now+1. The prefetcher
+// never self-schedules, and the per-core minimum arrives in r.coreWake.
 func (r *Runner) nextEventRowBuf(pipe *coalesce.RowBufferCoalescer) int64 {
 	now := r.now
 	next := r.coreWake
@@ -1424,9 +1427,8 @@ func (r *Runner) nextEventRowBuf(pipe *coalesce.RowBufferCoalescer) int64 {
 	return next
 }
 
-// dispatchWakeRowBuf mirrors Runner.dispatchWake, peeking at the
-// head packet instead of a Pop/PushFront round trip and memoizing the
-// ProbeMerge verdict on (MSHR generation, packet ID).
+// dispatchWakeRowBuf reports when the MSHR intake can act: a packet
+// waits and a free MSHR or a merge target (per headProbe) exists.
 func (r *Runner) dispatchWakeRowBuf(pipe *coalesce.RowBufferCoalescer, now int64) int64 {
 	if pipe.OutLen() == 0 {
 		return engine.Never
@@ -1442,7 +1444,8 @@ func (r *Runner) dispatchWakeRowBuf(pipe *coalesce.RowBufferCoalescer, now int64
 	return engine.Never
 }
 
-// skipToRowBuf mirrors Runner.skipTo.
+// skipToRowBuf advances the clock to t without stepping, adding the
+// stall and merge-comparison counts the reference stepper would record.
 func (r *Runner) skipToRowBuf(pipe *coalesce.RowBufferCoalescer, t int64) {
 	k := t - r.now
 	if k <= 0 {

@@ -60,18 +60,26 @@ var modes = []mode{
 
 const header = `// Code generated by gen_events.go; DO NOT EDIT.
 
-// events_gen.go holds the five monomorphic event-kernel drivers, one per
-// coalesce.Mode. Each is the interface-based driver chain (runEvents /
-// nextEvent / step / dispatch / skipTo / issueCore / issueAccess / route /
-// enqueue / admit) specialized to its concrete pipeline type, with the
-// mode-dependent branches (MergesInMSHR, the DMC arrival probe, the PAC
-// network-controller bypass) folded to constants. The scheduler's min-wake
-// loop is inlined as nextEvent<Mode>, with the per-core wake fused into
-// step<Mode>'s issue loop — see DESIGN.md §12.
+// events_gen.go holds the event kernel: one monomorphic driver per
+// coalesce.Mode. Each copies the Runner's step chain (step / dispatch /
+// issueCore / issueAccess / route / directAdmit / enqueue / admit, which
+// runReference runs through the Pipeline interface) specialized to its
+// concrete pipeline type, with the mode-dependent branches (MergesInMSHR,
+// the DMC arrival probe, the PAC network-controller bypass) folded to
+// constants, and adds the event pieces: the min-wake scheduler
+// nextEvent<Mode>, dispatchWake<Mode> and skipTo<Mode>. The per-core
+// wake is fused into step<Mode>'s issue loop — see DESIGN.md §12.
 //
-// Every specialization must stay byte-identical to runReference and to
-// the generic fallback; the equivalence suite enforces this per benchmark
-// × mode, with and without fault injection.
+// A packet held back at the head of a full MSHR file with no merge
+// target sleeps in dispatchWake (only a completion can change that), and
+// skipTo reconstructs in closed form what the reference stepper records
+// per skipped cycle: one failed retry per core stalled on its
+// outstanding-load budget, and one merge comparison for that head
+// packet. nextEvent guarantees no other state changes across the skip.
+//
+// Every driver must stay byte-identical to runReference; the equivalence
+// suite enforces this per benchmark × mode, with and without fault
+// injection, and over random configurations.
 package sim
 
 import (
@@ -137,10 +145,9 @@ func (r *Runner) finished{{.Suffix}}(pipe {{.PipeType}}) bool {
 	return true
 }
 
-// nextEvent{{.Suffix}} is the engine.Scheduler min-wake loop specialized
-// to this mode's component set. The prefetcher never self-schedules
-// (NextWake ≡ Never), so it drops out; the per-core minimum was fused
-// into step{{.Suffix}} and arrives precomputed in r.coreWake.
+// nextEvent{{.Suffix}} is the min-wake scheduler: the earliest NextWake
+// over this mode's components, clamped below at now+1. The prefetcher
+// never self-schedules, and the per-core minimum arrives in r.coreWake.
 func (r *Runner) nextEvent{{.Suffix}}(pipe {{.PipeType}}) int64 {
 	now := r.now
 	next := r.coreWake
@@ -176,9 +183,8 @@ func (r *Runner) nextEvent{{.Suffix}}(pipe {{.PipeType}}) int64 {
 	return next
 }
 
-// dispatchWake{{.Suffix}} mirrors Runner.dispatchWake, peeking at the
-// head packet instead of a Pop/PushFront round trip and memoizing the
-// ProbeMerge verdict on (MSHR generation, packet ID).
+// dispatchWake{{.Suffix}} reports when the MSHR intake can act: a packet
+// waits and a free MSHR or a merge target (per headProbe) exists.
 func (r *Runner) dispatchWake{{.Suffix}}(pipe {{.PipeType}}, now int64) int64 {
 	if pipe.{{.OutLen}}() == 0 {
 		return engine.Never
@@ -196,7 +202,8 @@ func (r *Runner) dispatchWake{{.Suffix}}(pipe {{.PipeType}}, now int64) int64 {
 	return engine.Never
 }
 
-// skipTo{{.Suffix}} mirrors Runner.skipTo.
+// skipTo{{.Suffix}} advances the clock to t without stepping, adding the
+// stall and merge-comparison counts the reference stepper would record.
 func (r *Runner) skipTo{{.Suffix}}(pipe {{.PipeType}}, t int64) {
 	k := t - r.now
 	if k <= 0 {

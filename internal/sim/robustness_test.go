@@ -1,8 +1,8 @@
 package sim
 
 // Robustness: randomised configurations must run to completion without
-// wedging, and results must serialise cleanly to JSON (the pacsim -json
-// output path).
+// wedging under both drivers and agree between them, and results must
+// serialise cleanly to JSON (the pacsim -json output path).
 
 import (
 	"encoding/json"
@@ -59,9 +59,29 @@ func randomConfig(rng *rand.Rand, withFaults bool) Config {
 }
 
 // describeConfig renders the seeds that reproduce a failing draw.
-func describeConfig(i int, cfg Config) string {
-	return fmt.Sprintf("config %d (%s/%v seed=%d faults=%+v)",
-		i, cfg.Procs[0].Benchmark, cfg.Mode, cfg.Seed, cfg.Faults)
+func describeConfig(cfg Config) string {
+	return fmt.Sprintf("%s/%v seed=%d faults=%+v",
+		cfg.Procs[0].Benchmark, cfg.Mode, cfg.Seed, cfg.Faults)
+}
+
+// checkRandomConfig runs one random draw under the event kernel and the
+// reference stepper: both must finish, agree byte for byte, and report
+// statistics inside their valid ranges.
+func checkRandomConfig(t *testing.T, cfg Config) {
+	t.Helper()
+	desc := describeConfig(cfg)
+	t.Log(desc) // shown only on failure: the seeds that replay it
+	event, ref := runBoth(t, cfg)
+	assertEquivalent(t, desc, event, ref)
+	if event.Cycles <= 0 {
+		t.Fatalf("%s: no progress", desc)
+	}
+	if e := event.CoalescingEfficiency(); e < 0 || e > 100 {
+		t.Fatalf("%s: efficiency %.2f out of range", desc, e)
+	}
+	if !cfg.Faults.Enabled() && event.Faults.Total() != 0 {
+		t.Fatalf("%s: fault stats non-zero on a fault-free run", desc)
+	}
 }
 
 func TestRandomConfigsComplete(t *testing.T) {
@@ -69,28 +89,24 @@ func TestRandomConfigsComplete(t *testing.T) {
 		t.Skip("randomised sweep is slow")
 	}
 	rng := rand.New(rand.NewSource(99))
-	// 25 fault-free configs, then 15 with random fault plans; every
-	// failure message carries the seeds needed to replay the wedge.
+	// 25 fault-free configs, then 15 with random fault plans.
 	for i := 0; i < 40; i++ {
 		cfg := randomConfig(rng, i >= 25)
-		r, err := NewRunner(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", describeConfig(i, cfg), err)
-		}
-		res, err := r.Run()
-		if err != nil {
-			t.Fatalf("%s wedged: %v", describeConfig(i, cfg), err)
-		}
-		if res.Cycles <= 0 {
-			t.Fatalf("%s: no progress", describeConfig(i, cfg))
-		}
-		if e := res.CoalescingEfficiency(); e < 0 || e > 100 {
-			t.Fatalf("%s: efficiency %.2f out of range", describeConfig(i, cfg), e)
-		}
-		if !cfg.Faults.Enabled() && res.Faults.Total() != 0 {
-			t.Fatalf("%s: fault stats non-zero on a fault-free run", describeConfig(i, cfg))
-		}
+		t.Run(fmt.Sprint(i), func(t *testing.T) { checkRandomConfig(t, cfg) })
 	}
+}
+
+// FuzzKernelEquivalence draws a random configuration (and, with faults,
+// a random fault plan) from each seed and requires the event kernel to
+// match the reference stepper on it.
+func FuzzKernelEquivalence(f *testing.F) {
+	for _, seed := range []int64{1, 99} {
+		f.Add(seed, false)
+		f.Add(seed, true)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, faults bool) {
+		checkRandomConfig(t, randomConfig(rand.New(rand.NewSource(seed)), faults))
+	})
 }
 
 func totalCoresOf(procs []ProcSpec) int {

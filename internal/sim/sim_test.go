@@ -44,6 +44,7 @@ func TestConfigValidation(t *testing.T) {
 		{Procs: []ProcSpec{{Benchmark: "GS", Cores: 1}}, AccessesPerCore: 0, MSHRs: 4},
 		{Procs: []ProcSpec{{Benchmark: "GS", Cores: 1}}, AccessesPerCore: 10, MSHRs: 0},
 		{Procs: []ProcSpec{{Benchmark: "NOPE", Cores: 1}}, AccessesPerCore: 10, MSHRs: 4},
+		{Procs: []ProcSpec{{Benchmark: "GS", Cores: 1}}, AccessesPerCore: 10, MSHRs: 4, Mode: coalesce.Mode(7)},
 	}
 	for i, cfg := range bad {
 		if _, err := NewRunner(cfg); err == nil {
