@@ -4,8 +4,8 @@
 GO ?= go
 
 .PHONY: all build test test-short test-race smoke serve smoke-serve \
-        smoke-cluster smoke-store smoke-recovery bench-cluster chaos \
-        vet fmt bench bench-alloc test-alloc figures \
+        smoke-cluster smoke-store smoke-recovery chaos \
+        vet fmt bench test-alloc figures \
         figures-quick examples fuzz fuzz-smoke verify clean
 
 all: vet test build
@@ -48,23 +48,17 @@ smoke-cluster:
 
 # End-to-end durable-store smoke: simulate → restart pacd → repeat is a
 # disk hit; warm boot seeds the memo; on a 3-node fleet a cold node
-# answers from a peer's store. Emits BENCH_store.json.
+# answers from a peer's store.
 smoke-store:
 	scripts/smoke_store.sh
 
 # End-to-end crash-recovery smoke: SIGKILL a WAL-backed pacd mid-job,
 # restart it, and require the journal replay to resume the simulation
 # from its last checkpoint with a result identical to an uninterrupted
-# run. Also covers pacload -follow SSE resume and torn-journal boot.
-# Emits BENCH_recovery.json.
+# run, in fewer cycles than that run. Also covers pacload -follow SSE
+# resume and torn-journal boot.
 smoke-recovery:
 	scripts/smoke_recovery.sh
-
-# Fleet load benchmark: pacload drives the gateway with a mixed hot/cold
-# key stream and distills throughput/latency/affinity into
-# BENCH_cluster.json.
-bench-cluster:
-	scripts/bench_cluster.sh
 
 # Chaos smoke under the race detector: the fault-injection subsystem,
 # the sim-level fault/equivalence suite, the daemon resilience tests
@@ -81,19 +75,15 @@ vet:
 fmt:
 	gofmt -w .
 
-# One testing.B bench per paper table/figure plus ablations.
+# Component micro-benches, the kernel vs reference stepper, the alloc
+# paths and the design ablations. Paper figures: `make figures-quick`.
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Allocation baseline: the BenchmarkAllocs suite distilled into
-# BENCH_alloc.json (ns/op, B/op, allocs/op). Fails if any steady-state
-# path regressed from 0 allocs/op.
-bench-alloc:
-	scripts/bench_alloc.sh
-
-# The steady-state zero-alloc unit gates plus the arena aliasing
-# oracles. Must run WITHOUT -race: race instrumentation allocates, so
-# the gates skip themselves under the race detector.
+# The steady-state zero-alloc unit gates, the warm-run alloc budget
+# (TestScratchReuseAcrossRuns) and the arena aliasing oracles. Must run
+# WITHOUT -race: race instrumentation allocates, so the gates skip
+# themselves under the race detector.
 test-alloc:
 	$(GO) test -run 'SteadyStateAllocFree|ScratchReuse|Poison|Aliasing' \
 		./internal/coalesce/ ./internal/mshr/ ./internal/hmc/ \

@@ -4,8 +4,8 @@ package pac
 // drives one hot path in its steady state with b.ReportAllocs(), so
 // `go test -bench BenchmarkAllocs` prints the allocs/op that the
 // per-package gates (Test*SteadyStateAllocFree) enforce as hard
-// ceilings. scripts/bench_alloc.sh distils the numbers into
-// BENCH_alloc.json.
+// ceilings. The sim-run-warm budget is gated by
+// internal/sim's TestScratchReuseAcrossRuns; no gate reads this output.
 
 import (
 	"testing"

@@ -65,8 +65,7 @@ func main() {
 		queue        = flag.Int("queue", 16, "bounded job queue depth (full queue answers 429)")
 		maxSessions  = flag.Int("max-sessions", 8, "LRU cap on distinct-option result-cache sessions")
 		reqTimeout   = flag.Duration("request-timeout", 60*time.Second, "cap on synchronous ?wait= windows")
-		jobTimeout   = flag.Duration("job-timeout", 15*time.Minute, "abort jobs running longer than this")
-		jobDeadline  = flag.Duration("job-deadline", 0, "per-attempt watchdog deadline; overrides -job-timeout when set")
+		jobTimeout   = flag.Duration("job-timeout", 15*time.Minute, "per-attempt watchdog deadline: abort job attempts running longer than this")
 		maxRetries   = flag.Int("max-retries", 2, "retries per job after a watchdog kill, panic, or internal error (0 disables)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "grace period for in-flight jobs on shutdown")
 		pprofOn      = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
@@ -95,9 +94,6 @@ func main() {
 	)
 	flag.Parse()
 
-	if *jobDeadline > 0 {
-		*jobTimeout = *jobDeadline
-	}
 	faults := pac.FaultConfig{
 		LinkCRCRate:        *faultCRC,
 		PoisonRate:         *faultPoison,

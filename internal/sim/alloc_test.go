@@ -59,9 +59,19 @@ func TestStepSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
+// warmRunAllocBudget caps the allocations of a whole simulation on a
+// warm shared Scratch, parked machine and all. A warm run reads 4 for
+// PAC (the Runner struct plus three histogram pre-sizes) and 2 for every
+// other mode, so 16 leaves headroom for a legitimate new per-run
+// allocation or two while catching any slide back toward per-run graph
+// reconstruction (168 allocs). Allocation counts are host-deterministic,
+// so this is a hard gate.
+const warmRunAllocBudget = 16
+
 // TestScratchReuseAcrossRuns proves the Session contract: sharing one
-// Scratch across sequential runs changes no result, and the warmed
-// second run allocates substantially less than the cold first one.
+// Scratch across sequential runs changes no result, the warmed second
+// run allocates substantially less than the cold first one, and it
+// stays within warmRunAllocBudget.
 func TestScratchReuseAcrossRuns(t *testing.T) {
 	for _, mode := range allModes {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -93,6 +103,9 @@ func TestScratchReuseAcrossRuns(t *testing.T) {
 			})
 			if warm > cold-5 {
 				t.Errorf("%s: warmed run allocates %.0f times vs %.0f cold — scratch reuse is not engaging", mode, warm, cold)
+			}
+			if warm > warmRunAllocBudget {
+				t.Errorf("%s: warmed run allocates %.0f times, over the budget of %d", mode, warm, warmRunAllocBudget)
 			}
 		})
 	}

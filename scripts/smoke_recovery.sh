@@ -7,7 +7,6 @@
 # request on a clean daemon. On top of that: pacload -follow tails the
 # recovered job's SSE stream to completion, and a journal with torn
 # trailing garbage must boot cleanly (skipped + counted, never fatal).
-# Emits BENCH_recovery.json (full-run vs resumed cycles, latencies).
 #
 # Usage: scripts/smoke_recovery.sh [victim-port [ref-port]]
 set -euo pipefail
@@ -61,8 +60,6 @@ metric() { # metric BASE_URL NAME -> summed value (0 when absent)
   curl -fsS "$1/metrics" | awk -v m="$2" '$1 ~ ("^" m "($|{)") {sum += $2; found=1} END {print (found ? sum : 0)}'
 }
 
-now_ms() { date +%s%3N; }
-
 # Long enough to outlive many 3000-cycle checkpoint intervals at quick
 # scale, short enough to keep the smoke brisk (matches the chaos tests).
 body='{"benchmark": "STREAM", "mode": "pac", "accessesPerCore": 60000}'
@@ -76,15 +73,13 @@ CKPT="$DATADIR/ckpt"
 REF_PID=$!
 PIDS+=("$REF_PID")
 wait_ready "$REF" "$REF_PID" "pacd (reference)"
-t0=$(now_ms)
 ref=$(curl -fsS -X POST -H 'Content-Type: application/json' -d "$body" "$REF/v1/simulate?wait=120s")
-ref_ms=$(( $(now_ms) - t0 ))
 echo "$ref" | jq -e '.status == "done"' >/dev/null || fail "reference run did not finish: $ref"
 want=$(echo "$ref" | jq -S '.result.result | del(.SkippedCycles)')
 full_cycles=$(echo "$ref" | jq '.result.result.Cycles')
 kill -TERM "$REF_PID"
 wait "$REF_PID" || fail "reference pacd did not drain cleanly"
-echo "smoke-recovery: reference run ok (${ref_ms}ms, $full_cycles cycles)"
+echo "smoke-recovery: reference run ok ($full_cycles cycles)"
 
 # ---------------------------------------------------------------------
 # Victim: journal + checkpoints on, killed hard mid-job.
@@ -121,7 +116,6 @@ echo "smoke-recovery: SIGKILL after $ckpts checkpoint(s), job $id in flight"
 # ---------------------------------------------------------------------
 # Reboot: the journal replays the orphan, the checkpoint resumes it.
 
-t0=$(now_ms)
 start_victim 2
 grep -q "recovered 1 unfinished jobs" "$LOGDIR/victim2.log" || fail "reboot did not recover the journaled job"
 
@@ -129,7 +123,6 @@ grep -q "recovered 1 unfinished jobs" "$LOGDIR/victim2.log" || fail "reboot did 
 # with Last-Event-ID, and its exit doubles as the job-done barrier.
 "$BINDIR/pacload" -gateway "$D" -follow "$id" >"$LOGDIR/follow.log" 2>>"$LOGDIR/follow.log" \
   || fail "pacload -follow $id failed"
-recovery_ms=$(( $(now_ms) - t0 ))
 grep -q "resumed STREAM PAC from checkpoint" "$LOGDIR/follow.log" \
   || fail "followed stream carries no checkpoint-resume line"
 
@@ -155,7 +148,7 @@ total_cycles=$(echo "$final" | jq '.result.result.Cycles')
 resume_cycles=$(( total_cycles - ckpt_cycle ))
 [ "$resume_cycles" -lt "$full_cycles" ] \
   || fail "resume simulated $resume_cycles cycles, not less than the full run's $full_cycles"
-echo "smoke-recovery: resumed at cycle $ckpt_cycle of $total_cycles, identical result (${recovery_ms}ms)"
+echo "smoke-recovery: resumed at cycle $ckpt_cycle of $total_cycles, identical result"
 
 # ---------------------------------------------------------------------
 # Torn-journal boot: trailing garbage after a crash is skipped and
@@ -172,20 +165,4 @@ kill -TERM "$V_PID"
 wait "$V_PID" || fail "victim (torn boot) did not drain cleanly"
 echo "smoke-recovery: torn-journal boot ok (skipped + counted)"
 
-# ---------------------------------------------------------------------
-# Benchmark artifact.
-cat > BENCH_recovery.json <<EOF
-{
-  "schema": "pac-bench-recovery/v1",
-  "generated": "$(date -u +%Y-%m-%dT%H:%M:%SZ)",
-  "fullRunCycles": $full_cycles,
-  "checkpointCycle": $ckpt_cycle,
-  "resumeCycles": $resume_cycles,
-  "recoveredJobs": 1,
-  "identicalResult": true,
-  "referenceLatencyMs": $ref_ms,
-  "recoveryLatencyMs": $recovery_ms
-}
-EOF
-echo "smoke-recovery: wrote BENCH_recovery.json (full $full_cycles cycles, resume $resume_cycles)"
-echo "smoke-recovery: PASS"
+echo "smoke-recovery: PASS (full run $full_cycles cycles, resume $resume_cycles)"

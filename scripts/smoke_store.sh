@@ -5,8 +5,7 @@
 # and require a memo hit straight from boot. Phase 2 (3-node fleet): kill
 # a key's owning node, let a survivor simulate + store the key, bring the
 # owner back with an EMPTY store, and require it to answer from the
-# survivor's store over peer exchange (X-Pac-Cache: peer). Emits
-# BENCH_store.json (warm-boot latency, hit latencies, disk-hit ratio).
+# survivor's store over peer exchange (X-Pac-Cache: peer).
 #
 # Usage: scripts/smoke_store.sh [pacd-port [gw-port b0-port b1-port b2-port]]
 set -euo pipefail
@@ -64,8 +63,6 @@ metric() { # metric BASE_URL NAME -> summed value (0 when absent)
   curl -fsS "$1/metrics" | awk -v m="$2" '$1 ~ ("^" m "($|{)") {sum += $2; found=1} END {print (found ? sum : 0)}'
 }
 
-now_ms() { date +%s%3N; }
-
 # simulate BASE_URL BODY HDR_FILE -> response body (synchronous)
 simulate() {
   curl -fsS -D "$3" -X POST -H 'Content-Type: application/json' -d "$2" "$1/v1/simulate?wait=60s"
@@ -85,15 +82,13 @@ PIDS+=("$D_PID")
 wait_up "$D" "$D_PID" "pacd (boot 1)"
 
 hdr="$(mktemp)"
-t0=$(now_ms)
 first=$(simulate "$D" "$body" "$hdr")
-miss_ms=$(( $(now_ms) - t0 ))
 echo "$first" | grep -q '"status": "done"' || fail "first simulate did not finish: $first"
 [ "$(cache_header "$hdr")" = "miss" ] || fail "first simulate cache source '$(cache_header "$hdr")', want miss"
 rm -f "$hdr"
 writes=$(metric "$D" pac_store_writes_total)
 [ "$writes" != "0" ] || fail "completed result not written through to the store"
-echo "smoke-store: fresh simulate + write-through ok (${miss_ms}ms)"
+echo "smoke-store: fresh simulate + write-through ok"
 
 kill -TERM "$D_PID"
 status=0; wait "$D_PID" || status=$?
@@ -109,9 +104,7 @@ PIDS+=("$D_PID")
 wait_up "$D" "$D_PID" "pacd (boot 2)"
 
 hdr="$(mktemp)"
-t0=$(now_ms)
 second=$(simulate "$D" "$body" "$hdr")
-disk_ms=$(( $(now_ms) - t0 ))
 echo "$second" | grep -q '"status": "done"' || fail "post-restart simulate did not finish: $second"
 [ "$(cache_header "$hdr")" = "disk" ] || fail "post-restart cache source '$(cache_header "$hdr")', want disk"
 rm -f "$hdr"
@@ -119,7 +112,7 @@ hits=$(metric "$D" pac_store_hits_total)
 [ "$hits" != "0" ] || fail "pac_store_hits_total did not move on the disk hit"
 sims=$(metric "$D" pac_sims_started_total)
 [ "$sims" = "0" ] || fail "disk-hit boot ran $sims simulations, want 0"
-echo "smoke-store: restart + disk hit ok (${disk_ms}ms, hits=$hits, sims=0)"
+echo "smoke-store: restart + disk hit ok (hits=$hits, sims=0)"
 
 kill -TERM "$D_PID"
 wait "$D_PID" || fail "pacd boot 2 did not drain cleanly"
@@ -136,14 +129,12 @@ warmed=$(metric "$D" pac_store_warmed_total)
 [ "$warmed" != "0" ] || fail "warm boot seeded 0 entries"
 warm_s=$(metric "$D" pac_store_warm_seconds)
 hdr="$(mktemp)"
-t0=$(now_ms)
 third=$(simulate "$D" "$body" "$hdr")
-memo_ms=$(( $(now_ms) - t0 ))
 echo "$third" | grep -q '"status": "done"' || fail "warm-boot simulate did not finish: $third"
 [ "$(cache_header "$hdr")" = "memo" ] || fail "warm-boot cache source '$(cache_header "$hdr")', want memo"
 rm -f "$hdr"
 [ "$(metric "$D" pac_sims_started_total)" = "0" ] || fail "warm boot still ran a simulation"
-echo "smoke-store: warm boot ok (warmed=$warmed in ${warm_s}s, memo hit ${memo_ms}ms)"
+echo "smoke-store: warm boot ok (warmed=$warmed in ${warm_s}s, memo hit)"
 
 kill -TERM "$D_PID"
 wait "$D_PID" || fail "pacd boot 3 did not drain cleanly"
@@ -216,9 +207,7 @@ done
 curl -fsS "$GW/healthz" | grep -q '"backendsUp": 3' || fail "revived owner never reinstated"
 
 hdr="$(mktemp)"
-t0=$(now_ms)
 resp=$(simulate "$GW" "$fleet_body" "$hdr")
-peer_ms=$(( $(now_ms) - t0 ))
 echo "$resp" | grep -q '"status": "done"' || fail "cold-owner simulate did not finish: $resp"
 served=$(awk 'tolower($1) == "x-pac-backend:" {print $2}' "$hdr" | tr -d '\r')
 [ "$served" = "$owner" ] || fail "key did not route home after recovery (served by $served)"
@@ -228,32 +217,6 @@ rm -f "$hdr"
 peer_hits=$(metric "$owner" pac_store_peer_hits_total)
 [ "$peer_hits" != "0" ] || fail "pac_store_peer_hits_total did not move on the cold owner"
 [ "$(metric "$owner" pac_sims_started_total)" = "0" ] || fail "cold owner re-simulated instead of peer-fetching"
-echo "smoke-store: cold node answered from peer store ok (${peer_ms}ms, peer_hits=$peer_hits)"
+echo "smoke-store: cold node answered from peer store ok (peer_hits=$peer_hits)"
 
-# ---------------------------------------------------------------------
-# Benchmark artifact.
-store_hits=$(metric "$owner" pac_store_hits_total)
-store_misses=$(metric "$owner" pac_store_misses_total)
-total=$((store_hits + store_misses))
-ratio=0
-[ "$total" != "0" ] && ratio=$(awk -v h="$store_hits" -v t="$total" 'BEGIN {printf "%.4f", h/t}')
-cat > BENCH_store.json <<EOF
-{
-  "schema": "pac-bench-store/v1",
-  "generated": "$(date -u +%Y-%m-%dT%H:%M:%SZ)",
-  "singleNode": {
-    "missLatencyMs": $miss_ms,
-    "diskHitLatencyMs": $disk_ms,
-    "memoHitLatencyMs": $memo_ms,
-    "warmBootSeconds": $warm_s,
-    "warmedEntries": $warmed
-  },
-  "fleet": {
-    "peerHitLatencyMs": $peer_ms,
-    "coldOwnerPeerHits": $peer_hits,
-    "coldOwnerStoreHitRatio": $ratio
-  }
-}
-EOF
-echo "smoke-store: wrote BENCH_store.json (miss ${miss_ms}ms -> disk ${disk_ms}ms -> memo ${memo_ms}ms, peer ${peer_ms}ms)"
 echo "smoke-store: PASS"
